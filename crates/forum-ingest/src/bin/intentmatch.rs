@@ -791,7 +791,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let mut workers = 0usize; // 0 = size the pool to the shard count
     let mut queue_depth = 64usize;
     let mut deadline_ms = 2_000u64;
-    let mut max_k = 100usize;
+    let mut max_k = forum_ingest::DEFAULT_MAX_K;
     let mut boards_path: Option<String> = None;
     let mut sample_period_ms = 5_000u64; // 0 disables the sampler
     let mut slo_specs: Vec<String> = Vec::new();
@@ -930,7 +930,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
             .into());
         }
         let view = std::sync::Arc::new(intentmatch::StoreView::open(Path::new(store_path))?);
-        let app = forum_ingest::MappedServeApp::new(view.clone());
+        let app = forum_ingest::MappedServeApp::with_max_k(view.clone(), max_k);
         let workers = if workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {

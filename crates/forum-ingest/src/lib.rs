@@ -38,12 +38,15 @@
 //! Operational moments (WAL recoveries and truncations, compactions, epoch
 //! swaps) additionally land in the process-wide [`forum_obs::EventLog`].
 //!
-//! A fourth layer, [`serve`], turns a store into a live HTTP endpoint:
-//! `POST /query` (optionally with a per-query EXPLAIN trace) plus the
-//! standard telemetry routes (`/metrics` Prometheus exposition, `/healthz`,
-//! `/readyz` with live-engine readiness, `/snapshot`, `/events`) — see
-//! `intentmatch serve`. [`mapped`] is its zero-hydration sibling: the
-//! same `/query` contract served straight off a v2 store through
+//! Serving turns a store into an HTTP endpoint on
+//! [`forum_shard::PoolServer`]: [`shard_serve::ShardServeApp`] is the one
+//! live app (`intentmatch serve`) — `POST /query` scattered across shards
+//! (optionally with a per-query EXPLAIN trace), ingest observability
+//! (`/alerts`, `/series`, `/dashboard`), and the standard telemetry routes
+//! (`/metrics` Prometheus exposition, `/healthz`, `/readyz` with live-engine
+//! and per-shard readiness, `/snapshot`, `/events`). [`mapped`] is its
+//! zero-hydration sibling: the same `/query` contract, parsed and rendered
+//! by the same [`serve`] code, served straight off a v2 store through
 //! [`intentmatch::StoreView`] (lazy section loading, bit-identical
 //! rankings) — see `intentmatch serve --mapped`. The offline companion,
 //! [`doctor`], audits a store/WAL pair read-only and reports corruption,
@@ -62,7 +65,7 @@ pub use ingest::{wal_path_for, IngestConfig, IngestError, LiveStore};
 pub use live::{BaseState, ClusterScan, DeltaDoc, DeltaState, EpochHandle, LiveEpoch};
 pub use mapped::{pending_wal_records, MappedHealth, MappedServeApp};
 pub use serve::{
-    default_objectives, parse_slo_overrides, ServeApp, ServeHealth, DRIFT_DELTA_SERIES,
+    default_objectives, parse_slo_overrides, ServeHealth, DEFAULT_MAX_K, DRIFT_DELTA_SERIES,
     DRIFT_NOISE_SERIES,
 };
 pub use shard_serve::{parse_boards, ShardServeApp, ShardServeConfig};

@@ -16,7 +16,6 @@
 //! [`intentmatch::QueryEngine`] over the base.
 
 use forum_index::{DeltaIndex, ScanCosts, ScoreScratch, SegmentIndex};
-use forum_obs::{Trace, TraceCosts};
 use intentmatch::pipeline::{
     cluster_weight_for_terms, query_cluster_groups, ranges_terms, RefinedSegment,
 };
@@ -239,31 +238,12 @@ impl LiveEpoch {
     /// documents. With an empty delta this collapses to the exact scan the
     /// batch engine runs — bit-identical scores.
     pub fn top_k_with_n(&self, q: u32, k: usize, n: usize) -> Vec<(u32, f64)> {
-        self.top_k_with_n_traced(q, k, n, None)
-    }
-
-    /// [`top_k_with_n`] recording `live/base_scan` and `live/delta_scan`
-    /// spans into `trace` when one is supplied — each span's duration is
-    /// the wall time *accumulated* across every consulted cluster, and its
-    /// costs are the summed scan-work counters for that side of the merge.
-    /// Scores are bit-identical with or without a trace: the counters ride
-    /// out-of-band next to the exact same float operations.
-    pub fn top_k_with_n_traced(
-        &self,
-        q: u32,
-        k: usize,
-        n: usize,
-        trace: Option<&mut Trace>,
-    ) -> Vec<(u32, f64)> {
         forum_obs::Registry::global().incr("ingest/live_queries", 1);
         let Some(groups) = self.query_groups(q) else {
             return Vec::new();
         };
         let mut scratch = ScoreScratch::new();
         let mut acc: HashMap<u32, f64> = HashMap::new();
-        let timing = trace.is_some();
-        let mut clusters_routed = 0u64;
-        let (mut base_ns, mut delta_ns) = (0u64, 0u64);
         let mut delta_costs = ScanCosts::default();
         for (cluster, terms) in &groups {
             let Some(scan) = self.scan_cluster_filtered(
@@ -272,15 +252,12 @@ impl LiveEpoch {
                 q,
                 n,
                 None,
-                timing,
+                false,
                 &mut scratch,
                 &mut delta_costs,
             ) else {
                 continue;
             };
-            clusters_routed += 1;
-            base_ns += scan.base_ns;
-            delta_ns += scan.delta_ns;
             for (owner, score) in scan.hits {
                 *acc.entry(owner).or_insert(0.0) += scan.weight * score;
             }
@@ -292,39 +269,11 @@ impl LiveEpoch {
                 .then(a.0.cmp(&b.0))
         });
         out.truncate(k);
-        if let Some(t) = trace {
-            let base_costs = scratch.costs.take();
-            t.push_span_ns(
-                "live/base_scan",
-                0,
-                base_ns,
-                TraceCosts {
-                    clusters_routed,
-                    postings_scanned: base_costs.postings_scanned,
-                    candidates_pruned: base_costs.candidates_pruned,
-                    heap_displacements: base_costs.heap_displacements,
-                    early_exits: base_costs.early_exits,
-                    ..TraceCosts::default()
-                },
-            );
-            t.push_span_ns(
-                "live/delta_scan",
-                0,
-                delta_ns,
-                TraceCosts {
-                    postings_scanned: delta_costs.postings_scanned,
-                    candidates_pruned: delta_costs.candidates_pruned,
-                    heap_displacements: delta_costs.heap_displacements,
-                    early_exits: delta_costs.early_exits,
-                    ..TraceCosts::default()
-                },
-            );
-        }
         out
     }
 
     /// One consulted cluster's merged base + delta scan for query `q` —
-    /// the per-cluster body of [`LiveEpoch::top_k_with_n_traced`],
+    /// the per-cluster body of [`LiveEpoch::top_k_with_n`],
     /// extracted so the shard-parallel serving tier runs *this exact
     /// code* per shard: sharded results are bit-identical to the
     /// single-scanner loop by construction, not by re-implementation.

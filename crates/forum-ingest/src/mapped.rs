@@ -1,8 +1,8 @@
 //! The mapped serving application: read-only queries straight off a v2
 //! store through [`intentmatch::StoreView`], no heap hydration.
 //!
-//! Where [`crate::serve::ServeApp`] owns a fully decoded live engine
-//! (WAL, delta epochs, compaction), [`MappedServeApp`] owns only an
+//! Where [`crate::shard_serve::ShardServeApp`] owns a fully decoded live
+//! engine (WAL, delta epochs, compaction), [`MappedServeApp`] owns only an
 //! `Arc<StoreView>`: startup is O(touched pages) — header + directory +
 //! cluster metadata — and each query faults in exactly the sections it
 //! consults. Rankings are bit-identical to the heap engine (the view's
@@ -11,9 +11,11 @@
 //! Routes:
 //!
 //! * `POST /query` (also `GET`) — `?doc=N&k=K` or a JSON body
-//!   `{"doc": N, "k": K}`; same response shape as the live app's
-//!   non-explain path. EXPLAIN requires the hydrated engine and returns
-//!   `400` here.
+//!   `{"doc": N, "k": K}`, parsed and rendered by the live app's own
+//!   [`crate::serve::QueryParams`]: the same `k` cap and `threshold`
+//!   filter, and a `results` array byte-identical to the live app's.
+//!   EXPLAIN requires the hydrated engine and `board` a boards file, so
+//!   both return `400` here.
 //! * `POST /shutdown` — stops the accept loop cleanly.
 //! * everything else — the standard telemetry endpoints (`/metrics`,
 //!   `/healthz`, `/readyz`, `/snapshot`, `/events`).
@@ -25,6 +27,7 @@
 //! drop them from every ranking.
 
 use crate::ingest::snapshot_tag;
+use crate::serve::{shutdown, QueryParams, DEFAULT_MAX_K};
 use crate::wal;
 use crate::wal_path_for;
 use forum_obs::json::Json;
@@ -84,13 +87,20 @@ pub struct MappedServeApp {
     view: Arc<StoreView>,
     routes: TelemetryRoutes,
     stopper: Mutex<Option<Stopper>>,
+    max_k: usize,
 }
 
 impl MappedServeApp {
-    /// Builds the app over an open view. Registers the request-level
-    /// metrics up front so the first `/metrics` scrape already exposes
-    /// the `serve_*` families.
+    /// Builds the app over an open view with the default `k` cap
+    /// ([`DEFAULT_MAX_K`]).
     pub fn new(view: Arc<StoreView>) -> Arc<MappedServeApp> {
+        MappedServeApp::with_max_k(view, DEFAULT_MAX_K)
+    }
+
+    /// Builds the app over an open view, clamping each request's `k` to
+    /// `[1, max_k]`. Registers the request-level metrics up front so the
+    /// first `/metrics` scrape already exposes the `serve_*` families.
+    pub fn with_max_k(view: Arc<StoreView>, max_k: usize) -> Arc<MappedServeApp> {
         let registry = Registry::global();
         registry.counter("serve/http_requests");
         registry.histogram("serve/http_request_ns");
@@ -100,12 +110,8 @@ impl MappedServeApp {
             view,
             routes: TelemetryRoutes::global(health),
             stopper: Mutex::new(None),
+            max_k,
         })
-    }
-
-    /// The served view (tests inspect residency through this).
-    pub fn view(&self) -> Arc<StoreView> {
-        self.view.clone()
     }
 
     /// Installs the server's stopper so `POST /shutdown` can stop the
@@ -137,13 +143,7 @@ impl MappedServeApp {
                 if req.method != "POST" {
                     return Response::text(405, "method not allowed\n");
                 }
-                if let Some(stopper) = &*self.stopper.lock().unwrap_or_else(PoisonError::into_inner)
-                {
-                    stopper.stop();
-                    Response::text(200, "stopping\n")
-                } else {
-                    Response::text(503, "no stopper installed\n")
-                }
+                shutdown(&self.stopper)
             }
             _ => self
                 .routes
@@ -153,48 +153,19 @@ impl MappedServeApp {
     }
 
     fn query(&self, req: &Request) -> Response {
-        let body: Option<Json> = match req.body_str().map(str::trim) {
-            None => return Response::bad_request("body is not UTF-8"),
-            Some("") => None,
-            Some(text) => match Json::parse(text) {
-                Ok(v) => Some(v),
-                Err(e) => return Response::bad_request(format!("bad JSON body: {e}")),
-            },
-        };
-        let param_u64 = |key: &str| -> Result<Option<u64>, Response> {
-            if let Some(v) = req.query_param(key) {
-                return v
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| Response::bad_request(format!("{key} must be a number")));
-            }
-            match body.as_ref().and_then(|b| b.get(key)) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| Response::bad_request(format!("{key} must be a number"))),
-            }
-        };
-        let doc = match param_u64("doc") {
-            Ok(Some(d)) => d,
-            Ok(None) => return Response::bad_request("missing doc (query param or JSON body)"),
+        let q = match QueryParams::parse(req, self.max_k, self.view.num_docs()) {
+            Ok(q) => q,
             Err(resp) => return resp,
         };
-        let k = match param_u64("k") {
-            Ok(v) => v.unwrap_or(5) as usize,
-            Err(resp) => return resp,
-        };
-        if req.query_param("explain").is_some_and(|v| v != "0") {
+        if q.explain {
             return Response::bad_request(
                 "explain requires the hydrated engine: run serve without --mapped",
             );
         }
-        if doc >= self.view.num_docs() as u64 {
-            return Response::bad_request(format!(
-                "doc {doc} out of range (collection has {})",
-                self.view.num_docs()
-            ));
+        if q.board.is_some() {
+            return Response::bad_request(
+                "board filtering requires a boards file: run serve --boards without --mapped",
+            );
         }
 
         // One scratch per worker thread, reused across requests — the
@@ -205,8 +176,10 @@ impl MappedServeApp {
             static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
         }
         let started = Instant::now();
-        let ranking =
-            SCRATCH.with(|scratch| self.view.top_k(doc as usize, k, &mut scratch.borrow_mut()));
+        let ranking = SCRATCH.with(|scratch| {
+            self.view
+                .top_k(q.doc as usize, q.k, &mut scratch.borrow_mut())
+        });
         let ranking = match ranking {
             Ok(r) => r,
             Err(e) => return Response::text(500, format!("query failed: {e}\n")),
@@ -216,24 +189,10 @@ impl MappedServeApp {
         Response::json(
             200,
             &Json::obj()
-                .with("query", doc)
-                .with("k", k as u64)
+                .with("query", q.doc)
+                .with("k", q.k as u64)
                 .with("backing", self.view.backing_name())
-                .with(
-                    "results",
-                    Json::Arr(
-                        ranking
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &(d, score))| {
-                                Json::obj()
-                                    .with("rank", (i + 1) as u64)
-                                    .with("doc", d)
-                                    .with("score", score)
-                            })
-                            .collect(),
-                    ),
-                ),
+                .with("results", q.results(&ranking)),
         )
     }
 }

@@ -1,48 +1,31 @@
-//! The live serving application: queries + telemetry over one HTTP port.
+//! What the serving apps share, and the live app's health and objectives.
 //!
-//! [`ServeApp`] owns the application-level routes and layers them over
-//! [`forum_obs::serve::TelemetryRoutes`]:
+//! * [`QueryParams`] — the one `/query` parser and results renderer used
+//!   by both apps: `doc`, `k` (clamped to `[1, max_k]`), `threshold`,
+//!   `board`, and `explain`, read from the query string or a JSON body
+//!   (the query string wins), and the `results[{rank, doc, score}]` array.
+//! * [`shutdown`] — `POST /shutdown`, which stops the accept loop cleanly.
+//! * [`ServeHealth`] — live readiness on `/readyz`: the store is loaded
+//!   (by construction), the WAL is writable, and the current epoch id and
+//!   pending-delta sizes ride along as detail.
+//! * [`default_objectives`] / [`parse_slo_overrides`] — the serving SLOs,
+//!   and the drift series the sampler feeds them.
 //!
-//! * `POST /query` (also `GET`) — related posts for a collection-resident
-//!   document: `?doc=N&k=K`, or a JSON body `{"doc": N, "k": K}`. With
-//!   `?explain=1` the response carries the full EXPLAIN trace
-//!   ([`intentmatch::explain`]) whose ranking is bit-identical to the
-//!   offline [`intentmatch::QueryEngine`] — and therefore requires a
-//!   compacted store (`409` while WAL writes are pending).
-//! * `GET /alerts` — the SLO objectives with burn rates, alert states,
-//!   and last transition times ([`SloEvaluator::to_json`]).
-//! * `GET /series?name=N&window=fine|coarse` — retained samples of one
-//!   derived time-series (see [`ServeApp::start_sampler`]).
-//! * `GET /dashboard` — a self-contained server-rendered HTML dashboard
-//!   (inline SVG sparklines, no external assets).
-//! * `POST /shutdown` — stops the accept loop cleanly.
-//! * everything else — the standard telemetry endpoints (`/metrics`,
-//!   `/healthz`, `/readyz`, `/snapshot`, `/events`).
-//!
-//! Readiness ([`ServeHealth`]) is derived from live state: the store is
-//! loaded (by construction), the WAL is writable, and the current epoch id
-//! and pending-delta sizes ride along as detail. `/metrics` scrapes also
-//! feed a [`forum_obs::RateWindow`], so the exposition ends with derived
-//! gauges — `serve_qps`, `ingest_ops_per_sec`, `ingest_wal_bytes_per_sec` —
-//! computed by diffing the retained snapshots.
+//! The apps are [`crate::shard_serve::ShardServeApp`] (the live store,
+//! `intentmatch serve`) and [`crate::mapped::MappedServeApp`] (a read-only
+//! v2 snapshot, `intentmatch serve --mapped`).
 
 use crate::live::EpochHandle;
-use forum_obs::dashboard::{self, Panel, StatusRow};
 use forum_obs::json::Json;
-use forum_obs::serve::{HealthReport, HealthSource, Request, Response, Stopper, TelemetryRoutes};
-use forum_obs::timeseries::{unix_millis, ExtraGauges, OnSample};
-use forum_obs::trace::TRACE_HEADER;
-use forum_obs::{
-    prometheus, AlertSink, Objective, RateWindow, Registry, Sampler, SloEvaluator, SloState,
-    TimeSeries, Trace, TraceStore, Window,
-};
-use intentmatch::explain;
+use forum_obs::serve::{HealthReport, HealthSource, Request, Response, Stopper};
+use forum_obs::{Objective, Registry};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How long `/metrics` scrapes are retained for rate computation.
-const RATE_RETENTION: Duration = Duration::from_secs(300);
+/// Default cap on the per-request `k` (the production guard against a
+/// single request demanding an unbounded merge).
+pub const DEFAULT_MAX_K: usize = 100;
 
 /// Synthetic drift series fed to the sampler each tick (not registry
 /// metrics — they are derived from live-engine state).
@@ -89,8 +72,8 @@ fn objectives_with(
         Objective::error_ratio(
             "availability",
             vec!["serve/shed_total".into()],
-            // Sheds from the pool and connection cap never reach the app's
-            // dispatch, so they are not in `serve/http_requests`.
+            // Sheds from the pool never reach the app's dispatch, so they
+            // are not in `serve/http_requests`.
             vec!["serve/http_requests".into(), "serve/shed_total".into()],
             availability,
         ),
@@ -166,7 +149,7 @@ pub fn parse_slo_overrides(specs: &[String], deadline: Duration) -> Result<Vec<O
 /// The model-drift values derived from live-engine state: pending delta
 /// docs over the compacted base, and the fraction of ingested segments
 /// the assign_eps gate dropped as noise.
-fn drift_values(handle: &EpochHandle) -> (f64, f64) {
+pub(crate) fn drift_values(handle: &EpochHandle) -> (f64, f64) {
     let epoch = handle.current();
     let ratio = epoch.delta.docs.len() as f64 / epoch.base.len().max(1) as f64;
     let reg = Registry::global();
@@ -203,7 +186,7 @@ pub struct ServeHealth {
 }
 
 impl ServeHealth {
-    /// Builds the health source the sharded app composes per-shard
+    /// Builds the health source the live app composes per-shard
     /// readiness on top of.
     pub(crate) fn new(handle: Arc<EpochHandle>, wal_path: PathBuf) -> ServeHealth {
         ServeHealth { handle, wal_path }
@@ -227,511 +210,129 @@ impl HealthSource for ServeHealth {
     }
 }
 
-/// The serving application: query routes over an [`EpochHandle`], layered
-/// on the standard telemetry endpoints.
-pub struct ServeApp {
-    handle: Arc<EpochHandle>,
-    routes: TelemetryRoutes,
-    stopper: Mutex<Option<Stopper>>,
-    timeseries: Arc<TimeSeries>,
-    slo: Arc<SloEvaluator>,
-    sampler: Mutex<Option<Sampler>>,
+/// `POST /shutdown`: stops the accept loop through the installed stopper.
+pub(crate) fn shutdown(stopper: &Mutex<Option<Stopper>>) -> Response {
+    match &*stopper.lock().unwrap_or_else(PoisonError::into_inner) {
+        Some(stopper) => {
+            stopper.stop();
+            Response::text(200, "stopping\n")
+        }
+        None => Response::text(503, "no stopper installed\n"),
+    }
 }
 
-impl ServeApp {
-    /// Builds the app over the serving handle and the store's WAL path,
-    /// with the [`default_objectives`].
-    pub fn new(handle: Arc<EpochHandle>, wal_path: PathBuf) -> Arc<ServeApp> {
-        ServeApp::with_objectives(handle, wal_path, default_objectives(None))
-    }
+/// One validated `/query` request.
+#[derive(Debug)]
+pub(crate) struct QueryParams {
+    /// The collection-resident query document, below the collection size.
+    pub doc: u64,
+    /// Results wanted, clamped to `[1, max_k]`.
+    pub k: usize,
+    /// Drop results scoring below this (finite) value.
+    pub threshold: Option<f64>,
+    /// Surface only documents on this board.
+    pub board: Option<String>,
+    /// Whether the EXPLAIN trace was asked for.
+    pub explain: bool,
+}
 
-    /// Builds the app with an explicit objective set (from `--slo`).
-    ///
-    /// Registers the request-level metrics up front so the very first
-    /// `/metrics` scrape already exposes the `serve_*` families (a scrape
-    /// arriving before the first query must still show the histogram).
-    pub fn with_objectives(
-        handle: Arc<EpochHandle>,
-        wal_path: PathBuf,
-        objectives: Vec<Objective>,
-    ) -> Arc<ServeApp> {
-        let registry = Registry::global();
-        registry.counter("serve/http_requests");
-        registry.histogram("serve/http_request_ns");
-        registry.histogram("serve/online_query_ns");
-
-        let health = Arc::new(ServeHealth {
-            handle: handle.clone(),
-            wal_path,
-        });
-        let slo = Arc::new(SloEvaluator::new(objectives));
-        let rates = Mutex::new(RateWindow::new(RATE_RETENTION));
-        let drift_handle = handle.clone();
-        let slo_for_metrics = slo.clone();
-        let extra: Arc<dyn Fn(&mut String) + Send + Sync> = Arc::new(move |out: &mut String| {
-            let mut rates = rates.lock().unwrap_or_else(PoisonError::into_inner);
-            rates.push(Instant::now(), Registry::global().snapshot());
-            if let Some(qps) = rates.rate("serve/online_query_ns") {
-                prometheus::append_gauge(out, "serve_qps", qps);
-            }
-            if let Some(ops) = rates.rate_sum(&["ingest/added", "ingest/updated", "ingest/deleted"])
-            {
-                prometheus::append_gauge(out, "ingest_ops_per_sec", ops);
-            }
-            if let Some(bps) = rates.rate("ingest/wal_bytes") {
-                prometheus::append_gauge(out, "ingest_wal_bytes_per_sec", bps);
-            }
-            // Drift observability: how far the live state has moved from
-            // the frozen intention model since the last compaction.
-            let (delta_ratio, noise_rate) = drift_values(&drift_handle);
-            prometheus::append_gauge_with_help(
-                out,
-                "drift_delta_base_ratio",
-                "Pending delta documents as a fraction of the compacted base.",
-                delta_ratio,
-            );
-            prometheus::append_gauge_with_help(
-                out,
-                "drift_noise_rate",
-                "Fraction of ingested segments dropped as noise by the assign_eps gate.",
-                noise_rate,
-            );
-            let traces = TraceStore::global();
-            prometheus::append_gauge_with_help(
-                out,
-                "traces_seen",
-                "Query and ingest traces started since process start.",
-                traces.total_seen() as f64,
-            );
-            prometheus::append_gauge_with_help(
-                out,
-                "traces_kept",
-                "Traces retained in the trace ring after sampling.",
-                traces.total_kept() as f64,
-            );
-            prometheus::append_gauge_with_help(
-                out,
-                "traces_slow",
-                "Traces over the slow-query threshold (always retained).",
-                traces.total_slow() as f64,
-            );
-            slo_for_metrics.append_exposition(out);
-        });
-        Arc::new(ServeApp {
-            handle,
-            routes: TelemetryRoutes::global(health).with_metrics_extra(extra),
-            stopper: Mutex::new(None),
-            timeseries: Arc::new(TimeSeries::new()),
-            slo,
-            sampler: Mutex::new(None),
-        })
-    }
-
-    /// Installs the server's stopper so `POST /shutdown` can stop the
-    /// accept loop.
-    pub fn set_stopper(&self, stopper: Stopper) {
-        *self.stopper.lock().unwrap_or_else(PoisonError::into_inner) = Some(stopper);
-    }
-
-    /// The retained time-series the sampler feeds (`/series`, the
-    /// dashboard, and SLO burn rates all read from here).
-    pub fn timeseries(&self) -> Arc<TimeSeries> {
-        self.timeseries.clone()
-    }
-
-    /// The SLO evaluator (for [`ServeApp::add_alert_sink`] and tests).
-    pub fn slo(&self) -> Arc<SloEvaluator> {
-        self.slo.clone()
-    }
-
-    /// Subscribes `sink` to SLO state transitions — the hook a
-    /// re-clustering trigger attaches to.
-    pub fn add_alert_sink(&self, sink: Arc<dyn AlertSink>) {
-        self.slo.add_sink(sink);
-    }
-
-    /// Starts the background sampler: every `period` it snapshots the
-    /// registry into the retained time-series (plus the synthetic drift
-    /// series) and re-evaluates the SLOs. Call after
-    /// [`ServeApp::set_stopper`] so the sampler also exits when the
-    /// server's stopper fires; a second call replaces (and shuts down)
-    /// the previous sampler.
-    pub fn start_sampler(&self, period: Duration) {
-        let drift_handle = self.handle.clone();
-        let extras: ExtraGauges = Arc::new(move || {
-            let (delta_ratio, noise_rate) = drift_values(&drift_handle);
-            vec![
-                (DRIFT_DELTA_SERIES.to_string(), delta_ratio),
-                (DRIFT_NOISE_SERIES.to_string(), noise_rate),
-            ]
-        });
-        let slo = self.slo.clone();
-        let on_sample: OnSample = Arc::new(move |ts, unix_ms| slo.evaluate(ts, unix_ms));
-        let mut builder = Sampler::builder(period)
-            .with_extras(extras)
-            .on_sample(on_sample);
-        if let Some(stopper) = &*self.stopper.lock().unwrap_or_else(PoisonError::into_inner) {
-            builder = builder.with_stopper(stopper.clone());
-        }
-        let sampler = builder.spawn(self.timeseries.clone());
-        *self.sampler.lock().unwrap_or_else(PoisonError::into_inner) = Some(sampler);
-    }
-
-    /// Dispatches one request: application routes first, telemetry routes
-    /// second, `404` otherwise. Records `serve/http_requests` and
-    /// `serve/http_request_ns` around every dispatch.
-    pub fn handle(&self, req: &Request) -> Response {
-        let obs = Registry::global();
-        let started = Instant::now();
-        let response = self.dispatch(req);
-        obs.incr("serve/http_requests", 1);
-        obs.record_duration("serve/http_request_ns", started.elapsed());
-        response
-    }
-
-    fn dispatch(&self, req: &Request) -> Response {
-        match req.path.as_str() {
-            "/query" => {
-                if req.method != "POST" && req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.query(req)
-            }
-            "/alerts" => {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                Response::json(200, &self.slo.to_json(unix_millis()))
-            }
-            "/series" => {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.series(req)
-            }
-            "/dashboard" => {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.dashboard_response(Vec::new(), Vec::new())
-            }
-            "/shutdown" => {
-                if req.method != "POST" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                if let Some(stopper) = &*self.stopper.lock().unwrap_or_else(PoisonError::into_inner)
-                {
-                    stopper.stop();
-                    Response::text(200, "stopping\n")
-                } else {
-                    Response::text(503, "no stopper installed\n")
-                }
-            }
-            _ => self
-                .routes
-                .handle(req)
-                .unwrap_or_else(|| Response::not_found(&req.path)),
-        }
-    }
-
-    /// `GET /series?name=<series>&window=fine|coarse` — retained samples
-    /// of one series as JSON.
-    fn series(&self, req: &Request) -> Response {
-        let Some(name) = req.query_param("name") else {
-            return Response::bad_request(
-                "missing name (e.g. /series?name=serve/online_query_ns/p99)",
-            );
-        };
-        let window_str = req.query_param("window").unwrap_or("fine");
-        let Some(window) = Window::parse(window_str) else {
-            return Response::bad_request(format!(
-                "bad window {window_str:?} (expected fine or coarse)"
-            ));
-        };
-        match self.timeseries.samples(name, window) {
-            None => Response::text(404, format!("no series named {name:?}\n")),
-            Some(samples) => Response::json(
-                200,
-                &Json::obj()
-                    .with("name", name)
-                    .with("window", window_str)
-                    .with(
-                        "samples",
-                        Json::Arr(
-                            samples
-                                .iter()
-                                .map(|s| {
-                                    Json::obj()
-                                        .with("unix_ms", s.unix_ms)
-                                        .with("value", s.value)
-                                })
-                                .collect(),
-                        ),
-                    ),
-            ),
-        }
-    }
-
-    /// The self-contained `GET /dashboard` page. The sharded app calls
-    /// this with per-shard status rows; extra panels ride along the same
-    /// way.
-    pub fn dashboard_response(
-        &self,
-        extra_status: Vec<StatusRow>,
-        extra_panels: Vec<Panel>,
-    ) -> Response {
-        let ts = &self.timeseries;
-        let now = unix_millis();
-        let epoch = self.handle.current();
-        let mut status: Vec<StatusRow> = self
-            .slo
-            .objectives()
-            .iter()
-            .map(|o| {
-                let state = self.slo.state_of(&o.name).unwrap_or(SloState::Ok);
-                StatusRow {
-                    label: format!("slo {}", o.name),
-                    value: format!(
-                        "{} · burn {:.2} (warn {} / fire {})",
-                        state.as_str(),
-                        o.burn_over(ts, o.fast, now),
-                        o.warn_burn,
-                        o.fire_burn,
-                    ),
-                    class: state.as_str(),
-                }
-            })
-            .collect();
-        status.push(StatusRow {
-            label: "epoch".into(),
-            value: format!(
-                "{} · {} docs · {} pending delta docs",
-                epoch.epoch,
-                epoch.num_docs(),
-                epoch.delta.docs.len(),
-            ),
-            class: "info",
-        });
-        status.extend(extra_status);
-
-        let spark = |title: &str, series: &str, fmt: fn(f64) -> String| -> Panel {
-            let samples = ts.samples(series, Window::Fine).unwrap_or_default();
-            Panel::from_samples(title, &samples, fmt)
-        };
-        let mut panels = vec![
-            spark(
-                "query qps",
-                "serve/online_query_ns/rate",
-                dashboard::fmt_rate,
-            ),
-            spark(
-                "query p50",
-                "serve/online_query_ns/p50",
-                dashboard::fmt_ns_as_ms,
-            ),
-            spark(
-                "query p99",
-                "serve/online_query_ns/p99",
-                dashboard::fmt_ns_as_ms,
-            ),
-            spark("http req/s", "serve/http_requests", dashboard::fmt_rate),
-            spark("shed/s", "serve/shed_total", dashboard::fmt_rate),
-            spark("queue depth", "serve/queue_depth", dashboard::fmt_value),
-            spark("ingest add/s", "ingest/added", dashboard::fmt_rate),
-            spark("ingest update/s", "ingest/updated", dashboard::fmt_rate),
-            spark("ingest delete/s", "ingest/deleted", dashboard::fmt_rate),
-            spark("wal bytes/s", "ingest/wal_bytes", dashboard::fmt_rate),
-            spark("delta/base ratio", DRIFT_DELTA_SERIES, dashboard::fmt_value),
-            spark("noise rate", DRIFT_NOISE_SERIES, dashboard::fmt_value),
-        ];
-        panels.extend(extra_panels);
-
-        let html = dashboard::render_page(
-            "intentmatch serving dashboard",
-            5,
-            &status,
-            &panels,
-            &format!(
-                "epoch {} · intentmatch v{}",
-                epoch.epoch,
-                env!("CARGO_PKG_VERSION"),
-            ),
-        );
-        Response {
-            status: 200,
-            content_type: "text/html; charset=utf-8",
-            headers: Vec::new(),
-            body: html.into_bytes(),
-        }
-    }
-
-    /// One parameter, from the query string or the JSON body (the query
-    /// string wins).
-    fn param_u64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<u64>, Response> {
-        if let Some(v) = req.query_param(key) {
-            return v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| Response::bad_request(format!("{key} must be a number")));
-        }
-        match body.as_ref().and_then(|b| b.get(key)) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| Response::bad_request(format!("{key} must be a number"))),
-        }
-    }
-
-    fn query(&self, req: &Request) -> Response {
+impl QueryParams {
+    /// Parses `req`'s parameters, each from the query string or else the
+    /// JSON body. `k` defaults to 5; a `k` outside `[1, max_k]` is clamped
+    /// into it, so no request can demand an unbounded merge. `Err` is the
+    /// `400` to send.
+    pub fn parse(req: &Request, max_k: usize, num_docs: usize) -> Result<QueryParams, Response> {
         let body: Option<Json> = match req.body_str().map(str::trim) {
-            None => return Response::bad_request("body is not UTF-8"),
+            None => return Err(Response::bad_request("body is not UTF-8")),
             Some("") => None,
             Some(text) => match Json::parse(text) {
                 Ok(v) => Some(v),
-                Err(e) => return Response::bad_request(format!("bad JSON body: {e}")),
+                Err(e) => return Err(Response::bad_request(format!("bad JSON body: {e}"))),
             },
         };
-        let doc = match Self::param_u64(req, &body, "doc") {
-            Ok(Some(d)) => d,
-            Ok(None) => return Response::bad_request("missing doc (query param or JSON body)"),
-            Err(resp) => return resp,
-        };
-        let k = match Self::param_u64(req, &body, "k") {
-            Ok(v) => v.unwrap_or(5) as usize,
-            Err(resp) => return resp,
-        };
-        let want_explain = req.query_param("explain").is_some_and(|v| v != "0")
-            || body
-                .as_ref()
-                .and_then(|b| b.get("explain"))
-                .is_some_and(|v| *v == Json::Bool(true));
-
-        let epoch = self.handle.current();
-        if doc >= epoch.num_docs() as u64 {
-            return Response::bad_request(format!(
-                "doc {doc} out of range (collection has {})",
-                epoch.num_docs()
-            ));
+        let body = body.as_ref();
+        let number = |s: &str| s.parse::<u64>().ok();
+        let finite = |v: Option<f64>| v.filter(|v| v.is_finite());
+        let doc = param(req, body, "doc", "a number", number, Json::as_u64)?
+            .ok_or_else(|| Response::bad_request("missing doc (query param or JSON body)"))?;
+        if doc >= num_docs as u64 {
+            return Err(Response::bad_request(format!(
+                "doc {doc} out of range (collection has {num_docs})"
+            )));
         }
-        let obs = Registry::global();
-        let traces = TraceStore::global();
-        // A request-scoped trace when tracing is on: the caller's
-        // `X-Intentmatch-Trace` id propagates; otherwise one is generated.
-        // Every traced path below is bit-identical to its untraced twin
-        // (cost counting rides out-of-band), so enabling tracing never
-        // changes a ranking.
-        let mut qtrace = traces
-            .is_enabled()
-            .then(|| Trace::begin("query", req.header(TRACE_HEADER)));
-        let started = Instant::now();
-        // EXPLAIN traces the compacted snapshot (its ranking is asserted
-        // bit-identical to the offline engine); refuse while delta writes
-        // are pending rather than trace the wrong state.
-        let (ranking, explain_out, path) = if want_explain {
-            if epoch.has_pending() {
-                return Response::text(
-                    409,
-                    "explain requires a compacted store: WAL writes are pending\n",
-                );
-            }
-            let explain_out = explain::explain_top_k_with_n_traced(
-                &epoch.base.pipeline,
-                &epoch.base.collection,
-                doc as usize,
-                k,
-                2 * k,
-                qtrace.as_mut(),
-            );
-            (explain_out.ranking(), Some(explain_out), "explain")
-        } else if epoch.has_pending() {
-            (
-                epoch.top_k_with_n_traced(doc as u32, k, 2 * k, qtrace.as_mut()),
-                None,
-                "live",
-            )
-        } else if qtrace.is_some() {
-            // No delta, tracing on: the engine's sequential scan — the
-            // same Algorithm 2 as `pipeline.top_k`, bit for bit — with the
-            // `engine/algo2` span and its cost counters recorded.
-            let engine =
-                intentmatch::QueryEngine::new(&epoch.base.collection, &epoch.base.pipeline)
-                    .with_threads(1);
-            match engine.try_top_k_traced(doc as usize, k, qtrace.as_mut()) {
-                Ok(ranking) => (ranking, None, "engine"),
-                Err(e) => return Response::text(500, format!("query failed: {e}\n")),
-            }
-        } else {
-            // No delta: the offline engine's exact path.
-            (
-                epoch
-                    .base
-                    .pipeline
-                    .top_k(&epoch.base.collection, doc as usize, k),
-                None,
-                "engine",
-            )
-        };
-        obs.record_duration("serve/online_query_ns", started.elapsed());
-
-        let trace_id = qtrace.map(|mut t| {
-            t.set_detail(
-                Json::obj()
-                    .with("path", path)
-                    .with("doc", doc)
-                    .with("k", k as u64)
-                    .with("epoch", epoch.epoch),
-            );
-            t.finish();
-            // A slow query lands in the slow log with its EXPLAIN attached
-            // (when the state admits one): the per-cluster candidates and
-            // weights that produced the slow ranking, next to the spans
-            // that say where the time went.
-            if traces.is_slow(t.total_ns()) {
-                if let Some(explain_out) = &explain_out {
-                    t.attach_explain(explain_out.to_json());
-                } else if !epoch.has_pending() {
-                    t.attach_explain(
-                        explain::explain_top_k(
-                            &epoch.base.pipeline,
-                            &epoch.base.collection,
-                            doc as usize,
-                            k,
-                        )
-                        .to_json(),
-                    );
-                }
-            }
-            let id = t.id().to_string();
-            traces.record(t);
-            id
-        });
-
-        let mut out = Json::obj()
-            .with("query", doc)
-            .with("k", k as u64)
-            .with("epoch", epoch.epoch)
-            .with(
-                "results",
-                Json::Arr(
-                    ranking
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(d, score))| {
-                            Json::obj()
-                                .with("rank", (i + 1) as u64)
-                                .with("doc", d)
-                                .with("score", score)
-                        })
-                        .collect(),
-                ),
-            );
-        if let Some(explain_out) = explain_out {
-            out = out.with("explain", explain_out.to_json());
-        }
-        if let Some(id) = trace_id {
-            out = out.with("trace", id);
-        }
-        Response::json(200, &out)
+        let k = param(req, body, "k", "a number", number, Json::as_u64)?.unwrap_or(5);
+        let threshold = param(
+            req,
+            body,
+            "threshold",
+            "a finite number",
+            |s| finite(s.parse().ok()),
+            |v| finite(v.as_f64()),
+        )?;
+        let board = param(
+            req,
+            body,
+            "board",
+            "a string",
+            |s| Some(s.to_string()),
+            |v| v.as_str().map(str::to_string),
+        )?;
+        let explain = param(
+            req,
+            body,
+            "explain",
+            "a flag",
+            |s| Some(s != "0"),
+            |v| Some(*v == Json::Bool(true)),
+        )?;
+        Ok(QueryParams {
+            doc,
+            k: usize::try_from(k)
+                .unwrap_or(usize::MAX)
+                .clamp(1, max_k.max(1)),
+            threshold,
+            board,
+            explain: explain.unwrap_or(false),
+        })
     }
+
+    /// The `results` array: `ranking` cut at the `threshold` (a pure
+    /// filter — scores are exact, so it only shortens the list), ranked
+    /// from 1.
+    pub fn results(&self, ranking: &[(u32, f64)]) -> Json {
+        Json::Arr(
+            ranking
+                .iter()
+                .filter(|&&(_, score)| self.threshold.is_none_or(|t| score >= t))
+                .enumerate()
+                .map(|(i, &(doc, score))| {
+                    Json::obj()
+                        .with("rank", (i + 1) as u64)
+                        .with("doc", doc)
+                        .with("score", score)
+                })
+                .collect(),
+        )
+    }
+}
+
+/// One parameter named `key` from the query string or else the JSON body,
+/// converted by `from_query` or `from_json`; a value neither converts is
+/// a `400` saying the parameter must be `what`.
+fn param<T>(
+    req: &Request,
+    body: Option<&Json>,
+    key: &str,
+    what: &str,
+    from_query: impl Fn(&str) -> Option<T>,
+    from_json: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, Response> {
+    let value = match (req.query_param(key), body.and_then(|b| b.get(key))) {
+        (Some(v), _) => from_query(v),
+        (None, Some(v)) => from_json(v),
+        (None, None) => return Ok(None),
+    };
+    value
+        .map(Some)
+        .ok_or_else(|| Response::bad_request(format!("{key} must be {what}")))
 }

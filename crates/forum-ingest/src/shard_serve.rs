@@ -1,49 +1,74 @@
-//! The shard-parallel serving application.
+//! The live serving application: queries, ingest observability, and
+//! telemetry over one HTTP port, scattered across a shard set.
 //!
-//! [`ShardServeApp`] wraps [`ServeApp`] and takes over the routes that
-//! change under sharding, delegating everything else:
+//! [`ShardServeApp`] is what `intentmatch serve` runs on
+//! [`forum_shard::PoolServer`]. Routes:
 //!
-//! * `POST /query` — scatter/gather across the shard set: the query's
-//!   consulted clusters are partitioned by [`forum_shard::ShardPlan`],
-//!   each shard runs the *same* per-cluster scan the sequential path uses
+//! * `POST /query` (also `GET`) — related posts for a collection-resident
+//!   document: `?doc=N&k=K`, or a JSON body `{"doc": N, "k": K}` (parsed
+//!   by [`crate::serve::QueryParams`]). The query's consulted clusters are
+//!   partitioned by [`forum_shard::ShardPlan`], each shard runs the *same*
+//!   per-cluster scan the sequential path uses
 //!   ([`LiveEpoch::scan_cluster_filtered`]), and results merge through the
 //!   engine's single Algorithm 2 combination in consultation order — so
-//!   the ranking is bit-identical for any shard count. Production guards
-//!   ride along: `k` is clamped to a configured cap, `?threshold=T` drops
-//!   results scoring below `T` after the merge, and `?board=B` threads a
-//!   document filter into the postings scans themselves (filtered
-//!   documents neither surface nor consume top-n slots).
-//! * `GET /readyz` — per-shard readiness: `ready` when the base store and
-//!   every shard are up, `degraded` while only some shards serve (status
-//!   still `200` — degraded serves), `unready` (`503`) when the base is
-//!   down or no shard is ready.
-//! * `GET /metrics` — the inner exposition plus per-shard labeled
-//!   families (`serve_shard_scans`, `serve_shard_postings_scanned`,
-//!   `serve_shard_scan_ns`, `serve_shard_ready`).
+//!   the ranking is bit-identical to the offline engine for any shard
+//!   count. Production guards ride along: `k` is clamped to a configured
+//!   cap, `?threshold=T` drops results scoring below `T` after the merge,
+//!   and `?board=B` threads a document filter into the postings scans
+//!   themselves (filtered documents neither surface nor consume top-n
+//!   slots). With `?explain=1` the response carries the full EXPLAIN
+//!   trace ([`intentmatch::explain`]), which narrates the compacted
+//!   snapshot — `409` while WAL writes are pending.
+//! * `GET /readyz` — per-shard readiness: `ready` when the WAL is
+//!   writable and every shard is up, `degraded` while only some shards
+//!   serve (status still `200` — degraded serves), `unready` (`503`) when
+//!   the WAL is not writable or no shard is ready.
+//! * `GET /alerts` — the SLO objectives with burn rates, alert states,
+//!   and last transition times ([`SloEvaluator::to_json`]).
+//! * `GET /series?name=N&window=fine|coarse` — retained samples of one
+//!   derived time-series (see [`ShardServeApp::start_sampler`]).
+//! * `GET /dashboard` — a self-contained server-rendered HTML dashboard
+//!   (inline SVG sparklines, no external assets) with per-shard rows.
+//! * `POST /shutdown` — stops the accept loop; the pool closes its
+//!   admission queue and serves everything already admitted.
+//! * everything else — the standard telemetry endpoints (`/metrics`,
+//!   `/healthz`, `/snapshot`, `/events`, `/traces`, `/slowlog`). A slow
+//!   query lands in `/slowlog` with its EXPLAIN attached whenever no WAL
+//!   write is pending.
 //!
-//! `POST /shutdown` stays with the inner app; drain semantics come from
-//! the server: [`forum_shard::PoolServer`] closes its admission queue on
-//! stop and serves everything already admitted before `run` returns.
+//! `/metrics` scrapes also feed a [`forum_obs::RateWindow`], so the
+//! exposition ends with derived gauges — `serve_qps`, `ingest_ops_per_sec`,
+//! `ingest_wal_bytes_per_sec` — the drift and trace gauges, the SLO
+//! families, and the per-shard labeled families (`serve_shard_scans`,
+//! `serve_shard_postings_scanned`, `serve_shard_scan_ns`,
+//! `serve_shard_ready`).
 
 use crate::live::{EpochHandle, LiveEpoch};
-use crate::serve::{default_objectives, ServeApp, ServeHealth};
+use crate::serve::{
+    default_objectives, drift_values, shutdown, QueryParams, ServeHealth, DEFAULT_MAX_K,
+    DRIFT_DELTA_SERIES, DRIFT_NOISE_SERIES,
+};
 use forum_index::{DocFilter, ScanCosts, ScoreScratch};
-use forum_obs::dashboard::StatusRow;
+use forum_obs::dashboard::{self, Panel, StatusRow};
 use forum_obs::json::Json;
-use forum_obs::serve::{HealthSource, Request, Response, Stopper};
+use forum_obs::serve::{HealthSource, Request, Response, Stopper, TelemetryRoutes};
+use forum_obs::timeseries::{unix_millis, ExtraGauges, OnSample};
 use forum_obs::trace::TRACE_HEADER;
-use forum_obs::{prometheus, Objective, Registry, Trace, TraceCosts, TraceStore};
-use forum_shard::{scatter_gather, ClusterHits, ShardPlan, ShardSet, ShardStats};
+use forum_obs::{
+    prometheus, Objective, RateWindow, Registry, Sampler, SloEvaluator, SloState, TimeSeries,
+    Trace, TraceCosts, TraceStore, Window,
+};
+use forum_shard::{scatter_gather, ClusterHits, ShardPlan, ShardSet, ShardStats, WorkerPanic};
+use intentmatch::explain;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-/// Default cap on the per-request `k` (the production guard against a
-/// single request demanding an unbounded merge).
-pub const DEFAULT_MAX_K: usize = 100;
+/// How long `/metrics` scrapes are retained for rate computation.
+const RATE_RETENTION: Duration = Duration::from_secs(300);
 
-/// Configuration for the sharded serving tier.
+/// Configuration for the live serving app.
 pub struct ShardServeConfig {
     /// Number of shards (min 1).
     pub shards: usize,
@@ -63,15 +88,19 @@ impl Default for ShardServeConfig {
     }
 }
 
-/// The sharded serving application. Build with [`ShardServeApp::new`],
+/// The live serving application. Build with [`ShardServeApp::new`],
 /// serve with [`forum_shard::PoolServer`] (or any server that dispatches
 /// to [`ShardServeApp::handle`]).
 pub struct ShardServeApp {
-    inner: Arc<ServeApp>,
     handle: Arc<EpochHandle>,
-    health: ServeHealth,
+    health: Arc<ServeHealth>,
+    routes: TelemetryRoutes,
+    stopper: Mutex<Option<Stopper>>,
+    timeseries: Arc<TimeSeries>,
+    slo: Arc<SloEvaluator>,
+    sampler: Mutex<Option<Sampler>>,
     plan: ShardPlan,
-    stats: ShardStats,
+    stats: Arc<ShardStats>,
     /// The ownership view for the epoch it was built against; rebuilt
     /// (cheaply — it holds routing only, no index data) when the serving
     /// epoch moves.
@@ -81,9 +110,9 @@ pub struct ShardServeApp {
 }
 
 impl ShardServeApp {
-    /// Builds the sharded app over the serving handle and WAL path. All
-    /// shards start ready: the shard view is routing state, warm the
-    /// moment it is built.
+    /// Builds the app over the serving handle and WAL path, with the
+    /// [`default_objectives`]. All shards start ready: the shard view is
+    /// routing state, warm the moment it is built.
     pub fn new(
         handle: Arc<EpochHandle>,
         wal_path: PathBuf,
@@ -93,23 +122,47 @@ impl ShardServeApp {
     }
 
     /// [`ShardServeApp::new`] with an explicit SLO objective set (from
-    /// `--slo`), passed through to the inner [`ServeApp`].
+    /// `--slo`).
+    ///
+    /// Registers the request-level metrics up front so the very first
+    /// `/metrics` scrape already exposes the `serve_*` families (a scrape
+    /// arriving before the first query must still show the histogram).
     pub fn with_objectives(
         handle: Arc<EpochHandle>,
         wal_path: PathBuf,
         config: ShardServeConfig,
         objectives: Vec<Objective>,
     ) -> Arc<ShardServeApp> {
-        let inner = ServeApp::with_objectives(handle.clone(), wal_path.clone(), objectives);
+        let registry = Registry::global();
+        registry.counter("serve/http_requests");
+        registry.histogram("serve/http_request_ns");
+        registry.histogram("serve/online_query_ns");
+
         let plan = ShardPlan::new(config.shards);
         let epoch = handle.current();
         let set = Arc::new(ShardSet::build(plan, epoch.base.pipeline.clusters.len()));
-        let stats = ShardStats::new(plan.shards());
+        let stats = Arc::new(ShardStats::new(plan.shards()));
         stats.mark_all_ready();
+        let health = Arc::new(ServeHealth::new(handle.clone(), wal_path));
+        let slo = Arc::new(SloEvaluator::new(objectives));
+        let rates = Mutex::new(RateWindow::new(RATE_RETENTION));
+        let (drift_handle, slo_for_metrics, stats_for_metrics) =
+            (handle.clone(), slo.clone(), stats.clone());
+        let extra: Arc<dyn Fn(&mut String) + Send + Sync> = Arc::new(move |out: &mut String| {
+            let mut rates = rates.lock().unwrap_or_else(PoisonError::into_inner);
+            rates.push(Instant::now(), Registry::global().snapshot());
+            append_live_gauges(out, &rates, &drift_handle);
+            slo_for_metrics.append_exposition(out);
+            append_shard_families(out, &stats_for_metrics);
+        });
         Arc::new(ShardServeApp {
-            inner,
-            health: ServeHealth::new(handle.clone(), wal_path),
+            routes: TelemetryRoutes::global(health.clone()).with_metrics_extra(extra),
+            health,
             handle,
+            stopper: Mutex::new(None),
+            timeseries: Arc::new(TimeSeries::new()),
+            slo,
+            sampler: Mutex::new(None),
             plan,
             stats,
             view: RwLock::new((epoch.epoch, set)),
@@ -118,22 +171,37 @@ impl ShardServeApp {
         })
     }
 
-    /// Installs the server's stopper so `POST /shutdown` works.
+    /// Installs the server's stopper so `POST /shutdown` can stop the
+    /// accept loop.
     pub fn set_stopper(&self, stopper: Stopper) {
-        self.inner.set_stopper(stopper);
+        *self.stopper.lock().unwrap_or_else(PoisonError::into_inner) = Some(stopper);
     }
 
-    /// Starts the inner app's background sampler (see
-    /// [`ServeApp::start_sampler`]); call after
-    /// [`ShardServeApp::set_stopper`].
+    /// Starts the background sampler: every `period` it snapshots the
+    /// registry into the retained time-series (plus the synthetic drift
+    /// series) and re-evaluates the SLOs. Call after
+    /// [`ShardServeApp::set_stopper`] so the sampler also exits when the
+    /// server's stopper fires; a second call replaces (and shuts down)
+    /// the previous sampler.
     pub fn start_sampler(&self, period: Duration) {
-        self.inner.start_sampler(period);
-    }
-
-    /// The inner (sequential) serving app: time-series, SLOs, and alert
-    /// sinks hang off it.
-    pub fn inner(&self) -> &Arc<ServeApp> {
-        &self.inner
+        let drift_handle = self.handle.clone();
+        let extras: ExtraGauges = Arc::new(move || {
+            let (delta_ratio, noise_rate) = drift_values(&drift_handle);
+            vec![
+                (DRIFT_DELTA_SERIES.to_string(), delta_ratio),
+                (DRIFT_NOISE_SERIES.to_string(), noise_rate),
+            ]
+        });
+        let slo = self.slo.clone();
+        let on_sample: OnSample = Arc::new(move |ts, unix_ms| slo.evaluate(ts, unix_ms));
+        let mut builder = Sampler::builder(period)
+            .with_extras(extras)
+            .on_sample(on_sample);
+        if let Some(stopper) = &*self.stopper.lock().unwrap_or_else(PoisonError::into_inner) {
+            builder = builder.with_stopper(stopper.clone());
+        }
+        let sampler = builder.spawn(self.timeseries.clone());
+        *self.sampler.lock().unwrap_or_else(PoisonError::into_inner) = Some(sampler);
     }
 
     /// Per-shard readiness and cost counters (tests flip readiness here to
@@ -164,113 +232,40 @@ impl ShardServeApp {
         view.1.clone()
     }
 
-    /// Dispatches one request: the shard-aware routes here, everything
-    /// else through the inner app (which does its own request counting).
+    /// Dispatches one request: application routes first, telemetry routes
+    /// second, `404` otherwise. Records `serve/http_requests` and
+    /// `serve/http_request_ns` around every dispatch.
     pub fn handle(&self, req: &Request) -> Response {
-        match req.path.as_str() {
-            "/query" => self.counted(req, |req| {
-                if req.method != "POST" && req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.query(req)
-            }),
-            "/readyz" => self.counted(req, |req| {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.readyz()
-            }),
-            "/metrics" => {
-                let mut response = self.inner.handle(req);
-                if response.status == 200 {
-                    let mut extra = String::new();
-                    self.append_shard_families(&mut extra);
-                    response.body.extend_from_slice(extra.as_bytes());
-                }
-                response
-            }
-            "/dashboard" => self.counted(req, |req| {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.inner
-                    .dashboard_response(self.shard_status_rows(), Vec::new())
-            }),
-            _ => self.inner.handle(req),
-        }
-    }
-
-    /// Wraps a locally-owned route with the same request accounting the
-    /// inner app applies to the routes it owns.
-    fn counted(&self, req: &Request, f: impl FnOnce(&Request) -> Response) -> Response {
         let obs = Registry::global();
         let started = Instant::now();
-        let response = f(req);
+        let response = self.dispatch(req);
         obs.incr("serve/http_requests", 1);
         obs.record_duration("serve/http_request_ns", started.elapsed());
         response
     }
 
-    /// Per-shard dashboard status rows: readiness plus the scan cost
-    /// counters the scatter/gather path accumulates.
-    fn shard_status_rows(&self) -> Vec<StatusRow> {
-        (0..self.stats.shards())
-            .map(|i| {
-                let c = self.stats.counters(i);
-                let ready = self.stats.is_ready(i);
-                StatusRow {
-                    label: format!("shard {i}"),
-                    value: format!(
-                        "{} · {} scans · {} postings · {:.1} ms scan time",
-                        if ready { "ready" } else { "down" },
-                        c.scans,
-                        c.postings_scanned,
-                        c.scan_ns as f64 / 1e6,
-                    ),
-                    class: if ready { "ok" } else { "firing" },
-                }
-            })
-            .collect()
-    }
-
-    /// Appends the per-shard labeled families to a `/metrics` exposition.
-    fn append_shard_families(&self, out: &mut String) {
-        let shards = self.stats.shards();
-        let collect = |f: &dyn Fn(usize) -> f64| -> Vec<(String, f64)> {
-            (0..shards).map(|i| (i.to_string(), f(i))).collect()
+    fn dispatch(&self, req: &Request) -> Response {
+        type Route = fn(&ShardServeApp, &Request) -> Response;
+        let (methods, route): (&[&str], Route) = match req.path.as_str() {
+            "/query" => (&["GET", "POST"], ShardServeApp::query),
+            "/readyz" => (&["GET"], |app, _| app.readyz()),
+            "/alerts" => (&["GET"], |app, _| {
+                Response::json(200, &app.slo.to_json(unix_millis()))
+            }),
+            "/series" => (&["GET"], ShardServeApp::series),
+            "/dashboard" => (&["GET"], |app, _| app.dashboard()),
+            "/shutdown" => (&["POST"], |app, _| shutdown(&app.stopper)),
+            _ => {
+                return self
+                    .routes
+                    .handle(req)
+                    .unwrap_or_else(|| Response::not_found(&req.path))
+            }
         };
-        prometheus::append_labeled_family(
-            out,
-            "serve/shard_scans",
-            "Cluster scans routed to each shard.",
-            "counter",
-            "shard",
-            &collect(&|i| self.stats.counters(i).scans as f64),
-        );
-        prometheus::append_labeled_family(
-            out,
-            "serve/shard_postings_scanned",
-            "Postings walked by each shard's scans.",
-            "counter",
-            "shard",
-            &collect(&|i| self.stats.counters(i).postings_scanned as f64),
-        );
-        prometheus::append_labeled_family(
-            out,
-            "serve/shard_scan_ns",
-            "Cumulative scan wall time per shard, in nanoseconds.",
-            "counter",
-            "shard",
-            &collect(&|i| self.stats.counters(i).scan_ns as f64),
-        );
-        prometheus::append_labeled_family(
-            out,
-            "serve/shard_ready",
-            "Per-shard readiness (1 = serving).",
-            "gauge",
-            "shard",
-            &collect(&|i| if self.stats.is_ready(i) { 1.0 } else { 0.0 }),
-        );
+        if !methods.contains(&req.method.as_str()) {
+            return Response::text(405, "method not allowed\n");
+        }
+        route(self, req)
     }
 
     fn readyz(&self) -> Response {
@@ -306,59 +301,162 @@ impl ShardServeApp {
         Response::json(status, &body)
     }
 
-    fn query(&self, req: &Request) -> Response {
-        let body: Option<Json> = match req.body_str().map(str::trim) {
-            None => return Response::bad_request("body is not UTF-8"),
-            Some("") => None,
-            Some(text) => match Json::parse(text) {
-                Ok(v) => Some(v),
-                Err(e) => return Response::bad_request(format!("bad JSON body: {e}")),
-            },
+    /// `GET /series?name=<series>&window=fine|coarse` — retained samples
+    /// of one series as JSON.
+    fn series(&self, req: &Request) -> Response {
+        let Some(name) = req.query_param("name") else {
+            return Response::bad_request(
+                "missing name (e.g. /series?name=serve/online_query_ns/p99)",
+            );
         };
-        let doc = match param_u64(req, &body, "doc") {
-            Ok(Some(d)) => d,
-            Ok(None) => return Response::bad_request("missing doc (query param or JSON body)"),
-            Err(resp) => return resp,
-        };
-        let k = match param_u64(req, &body, "k") {
-            // The per-request cap: a request cannot demand an unbounded
-            // merge, it gets the configured ceiling instead.
-            Ok(v) => (v.unwrap_or(5) as usize).min(self.max_k).max(1),
-            Err(resp) => return resp,
-        };
-        let threshold = match param_f64(req, &body, "threshold") {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let board = req.query_param("board").map(str::to_string).or_else(|| {
-            body.as_ref()
-                .and_then(|b| b.get("board"))
-                .and_then(Json::as_str)
-                .map(str::to_string)
-        });
-        let want_explain = req.query_param("explain").is_some_and(|v| v != "0")
-            || body
-                .as_ref()
-                .and_then(|b| b.get("explain"))
-                .is_some_and(|v| *v == Json::Bool(true));
-        if want_explain {
-            // EXPLAIN is inherently a single-engine affair (it narrates the
-            // sequential combination); the inner app owns it unchanged.
-            return self.inner.handle(req);
-        }
-
-        let epoch = self.handle.current();
-        if doc >= epoch.num_docs() as u64 {
+        let window_str = req.query_param("window").unwrap_or("fine");
+        let Some(window) = Window::parse(window_str) else {
             return Response::bad_request(format!(
-                "doc {doc} out of range (collection has {})",
-                epoch.num_docs()
+                "bad window {window_str:?} (expected fine or coarse)"
             ));
+        };
+        match self.timeseries.samples(name, window) {
+            None => Response::text(404, format!("no series named {name:?}\n")),
+            Some(samples) => Response::json(
+                200,
+                &Json::obj()
+                    .with("name", name)
+                    .with("window", window_str)
+                    .with(
+                        "samples",
+                        Json::Arr(
+                            samples
+                                .iter()
+                                .map(|s| {
+                                    Json::obj()
+                                        .with("unix_ms", s.unix_ms)
+                                        .with("value", s.value)
+                                })
+                                .collect(),
+                        ),
+                    ),
+            ),
         }
-        let board_filter = match (&self.boards, &board) {
-            (Some(map), Some(b)) => {
-                let b = b.clone();
-                Some(move |owner: u32| map.get(&owner).is_some_and(|ob| *ob == b))
+    }
+
+    /// The self-contained `GET /dashboard` page: SLO, epoch and per-shard
+    /// status rows over the sampled series' sparklines.
+    fn dashboard(&self) -> Response {
+        let ts = &self.timeseries;
+        let now = unix_millis();
+        let epoch = self.handle.current();
+        let mut status: Vec<StatusRow> = self
+            .slo
+            .objectives()
+            .iter()
+            .map(|o| {
+                let state = self.slo.state_of(&o.name).unwrap_or(SloState::Ok);
+                StatusRow {
+                    label: format!("slo {}", o.name),
+                    value: format!(
+                        "{} · burn {:.2} (warn {} / fire {})",
+                        state.as_str(),
+                        o.burn_over(ts, o.fast, now),
+                        o.warn_burn,
+                        o.fire_burn,
+                    ),
+                    class: state.as_str(),
+                }
+            })
+            .collect();
+        status.push(StatusRow {
+            label: "epoch".into(),
+            value: format!(
+                "{} · {} docs · {} pending delta docs",
+                epoch.epoch,
+                epoch.num_docs(),
+                epoch.delta.docs.len(),
+            ),
+            class: "info",
+        });
+        status.extend((0..self.stats.shards()).map(|i| {
+            let c = self.stats.counters(i);
+            let ready = self.stats.is_ready(i);
+            StatusRow {
+                label: format!("shard {i}"),
+                value: format!(
+                    "{} · {} scans · {} postings · {:.1} ms scan time",
+                    if ready { "ready" } else { "down" },
+                    c.scans,
+                    c.postings_scanned,
+                    c.scan_ns as f64 / 1e6,
+                ),
+                class: if ready { "ok" } else { "firing" },
             }
+        }));
+
+        let spark = |title: &str, series: &str, fmt: fn(f64) -> String| -> Panel {
+            let samples = ts.samples(series, Window::Fine).unwrap_or_default();
+            Panel::from_samples(title, &samples, fmt)
+        };
+        let panels = [
+            spark(
+                "query qps",
+                "serve/online_query_ns/rate",
+                dashboard::fmt_rate,
+            ),
+            spark(
+                "query p50",
+                "serve/online_query_ns/p50",
+                dashboard::fmt_ns_as_ms,
+            ),
+            spark(
+                "query p99",
+                "serve/online_query_ns/p99",
+                dashboard::fmt_ns_as_ms,
+            ),
+            spark("http req/s", "serve/http_requests", dashboard::fmt_rate),
+            spark("shed/s", "serve/shed_total", dashboard::fmt_rate),
+            spark("queue depth", "serve/queue_depth", dashboard::fmt_value),
+            spark("ingest add/s", "ingest/added", dashboard::fmt_rate),
+            spark("ingest update/s", "ingest/updated", dashboard::fmt_rate),
+            spark("ingest delete/s", "ingest/deleted", dashboard::fmt_rate),
+            spark("wal bytes/s", "ingest/wal_bytes", dashboard::fmt_rate),
+            spark("delta/base ratio", DRIFT_DELTA_SERIES, dashboard::fmt_value),
+            spark("noise rate", DRIFT_NOISE_SERIES, dashboard::fmt_value),
+        ];
+
+        let html = dashboard::render_page(
+            "intentmatch serving dashboard",
+            5,
+            &status,
+            &panels,
+            &format!(
+                "epoch {} · intentmatch v{}",
+                epoch.epoch,
+                env!("CARGO_PKG_VERSION"),
+            ),
+        );
+        Response {
+            status: 200,
+            content_type: "text/html; charset=utf-8",
+            headers: Vec::new(),
+            body: html.into_bytes(),
+        }
+    }
+
+    fn query(&self, req: &Request) -> Response {
+        let epoch = self.handle.current();
+        let q = match QueryParams::parse(req, self.max_k, epoch.num_docs()) {
+            Ok(q) => q,
+            Err(resp) => return resp,
+        };
+        // EXPLAIN narrates the compacted snapshot (its ranking is asserted
+        // bit-identical to the offline engine); refuse while delta writes
+        // are pending rather than narrate the wrong state.
+        if q.explain && epoch.has_pending() {
+            return Response::text(
+                409,
+                "explain requires a compacted store: WAL writes are pending\n",
+            );
+        }
+        let board_filter = match (&self.boards, &q.board) {
+            (Some(map), Some(b)) => Some(move |owner: u32| map.get(&owner) == Some(b)),
             (None, Some(_)) => {
                 return Response::bad_request("board filtering requires a boards file (--boards)")
             }
@@ -368,36 +466,112 @@ impl ShardServeApp {
             .as_ref()
             .map(|f| f as &(dyn Fn(u32) -> bool + Sync));
 
-        let set = self.shard_set(&epoch);
-        let obs = Registry::global();
         let traces = TraceStore::global();
+        // A request-scoped trace when tracing is on: the caller's
+        // `X-Intentmatch-Trace` id propagates; otherwise one is generated.
+        // Cost counting rides out-of-band, so tracing never changes a
+        // ranking.
         let mut qtrace = traces
             .is_enabled()
             .then(|| Trace::begin("query", req.header(TRACE_HEADER)));
         let started = Instant::now();
-        obs.incr("ingest/live_queries", 1);
+        let (ranking, explained) = if q.explain {
+            let explained = explain::explain_top_k_with_n_traced(
+                &epoch.base.pipeline,
+                &epoch.base.collection,
+                q.doc as usize,
+                q.k,
+                2 * q.k,
+                qtrace.as_mut(),
+            );
+            (explained.ranking(), Some(explained))
+        } else {
+            match self.scatter(&epoch, &q, filter, qtrace.as_mut()) {
+                Ok(ranking) => (ranking, None),
+                Err(e) => return Response::text(500, format!("query failed: {e}\n")),
+            }
+        };
+        Registry::global().record_duration("serve/online_query_ns", started.elapsed());
 
-        let groups = epoch.query_groups(doc as u32).unwrap_or_default();
+        let trace_id = qtrace.map(|mut t| {
+            t.set_detail(
+                Json::obj()
+                    .with("path", if q.explain { "explain" } else { "shard" })
+                    .with("doc", q.doc)
+                    .with("k", q.k as u64)
+                    .with("shards", self.plan.shards() as u64)
+                    .with("epoch", epoch.epoch),
+            );
+            t.finish();
+            // A slow query lands in the slow log with its EXPLAIN attached
+            // (when the state admits one): the per-cluster candidates and
+            // weights that produced the slow ranking, next to the spans
+            // that say where the time went.
+            if traces.is_slow(t.total_ns()) && !epoch.has_pending() {
+                t.attach_explain(match &explained {
+                    Some(explained) => explained.to_json(),
+                    None => explain::explain_top_k(
+                        &epoch.base.pipeline,
+                        &epoch.base.collection,
+                        q.doc as usize,
+                        q.k,
+                    )
+                    .to_json(),
+                });
+            }
+            let id = t.id().to_string();
+            traces.record(t);
+            id
+        });
+
+        let mut out = Json::obj()
+            .with("query", q.doc)
+            .with("k", q.k as u64)
+            .with("epoch", epoch.epoch)
+            .with("shards", self.plan.shards() as u64)
+            .with("results", q.results(&ranking));
+        if let Some(explained) = explained {
+            out = out.with("explain", explained.to_json());
+        }
+        if let Some(id) = trace_id {
+            out = out.with("trace", id);
+        }
+        Response::json(200, &out)
+    }
+
+    /// Algorithm 2 over the shard set: the consulted clusters scatter to
+    /// their owning shards, and the per-cluster lists gather through the
+    /// engine's one weighted merge in consultation order.
+    fn scatter(
+        &self,
+        epoch: &LiveEpoch,
+        q: &QueryParams,
+        filter: Option<DocFilter>,
+        trace: Option<&mut Trace>,
+    ) -> Result<Vec<(u32, f64)>, WorkerPanic> {
+        Registry::global().incr("ingest/live_queries", 1);
+        let set = self.shard_set(epoch);
+        let doc = q.doc as u32;
+        let groups = epoch.query_groups(doc).unwrap_or_default();
         let route: Vec<usize> = groups.iter().map(|(cluster, _)| *cluster).collect();
         let terms_of: HashMap<usize, &Vec<String>> = groups
             .iter()
             .map(|(cluster, terms)| (*cluster, terms))
             .collect();
-        let n = 2 * k;
-        let timing = qtrace.is_some();
-        let epoch_ref = &*epoch;
+        let n = 2 * q.k;
+        let timing = trace.is_some();
         let outcome = scatter_gather(
             &set,
             &self.stats,
             &route,
-            k,
+            q.k,
             || (ScoreScratch::new(), ScanCosts::default()),
             |(scratch, delta_costs), cluster| {
                 let terms = terms_of.get(&cluster)?;
-                let scan = epoch_ref.scan_cluster_filtered(
+                let scan = epoch.scan_cluster_filtered(
                     cluster,
                     terms,
-                    doc as u32,
+                    doc,
                     n,
                     filter,
                     timing,
@@ -420,94 +594,97 @@ impl ShardServeApp {
                     scan_ns: scan.base_ns + scan.delta_ns,
                 })
             },
-            qtrace.as_mut(),
-        );
-        let mut ranked = match outcome {
-            Ok(out) => out.ranked,
-            Err(e) => return Response::text(500, format!("query failed: {e}\n")),
-        };
-        if let Some(threshold) = threshold {
-            // Post-merge guard: scores are already exact, so this is a
-            // pure filter — it can only shorten the list, never reorder.
-            ranked.retain(|&(_, score)| score >= threshold);
-        }
-        obs.record_duration("serve/online_query_ns", started.elapsed());
-
-        let trace_id = qtrace.map(|mut t| {
-            t.set_detail(
-                Json::obj()
-                    .with("path", "shard")
-                    .with("doc", doc)
-                    .with("k", k as u64)
-                    .with("shards", set.shards() as u64)
-                    .with("epoch", epoch.epoch),
-            );
-            t.finish();
-            let id = t.id().to_string();
-            traces.record(t);
-            id
-        });
-
-        let mut out = Json::obj()
-            .with("query", doc)
-            .with("k", k as u64)
-            .with("epoch", epoch.epoch)
-            .with("shards", set.shards() as u64)
-            .with(
-                "results",
-                Json::Arr(
-                    ranked
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(d, score))| {
-                            Json::obj()
-                                .with("rank", (i + 1) as u64)
-                                .with("doc", d)
-                                .with("score", score)
-                        })
-                        .collect(),
-                ),
-            );
-        if let Some(id) = trace_id {
-            out = out.with("trace", id);
-        }
-        Response::json(200, &out)
+            trace,
+        )?;
+        Ok(outcome.ranked)
     }
 }
 
-/// One `u64` parameter from the query string or JSON body (query wins).
-fn param_u64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<u64>, Response> {
-    if let Some(v) = req.query_param(key) {
-        return v
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| Response::bad_request(format!("{key} must be a number")));
+/// The scrape-time gauges derived from live state: windowed rates over
+/// the retained scrapes, the drift ratios, and the trace-store totals.
+fn append_live_gauges(out: &mut String, rates: &RateWindow, handle: &EpochHandle) {
+    if let Some(qps) = rates.rate("serve/online_query_ns") {
+        prometheus::append_gauge(out, "serve_qps", qps);
     }
-    match body.as_ref().and_then(|b| b.get(key)) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| Response::bad_request(format!("{key} must be a number"))),
+    if let Some(ops) = rates.rate_sum(&["ingest/added", "ingest/updated", "ingest/deleted"]) {
+        prometheus::append_gauge(out, "ingest_ops_per_sec", ops);
     }
+    if let Some(bps) = rates.rate("ingest/wal_bytes") {
+        prometheus::append_gauge(out, "ingest_wal_bytes_per_sec", bps);
+    }
+    // Drift observability: how far the live state has moved from the
+    // frozen intention model since the last compaction.
+    let (delta_ratio, noise_rate) = drift_values(handle);
+    prometheus::append_gauge_with_help(
+        out,
+        "drift_delta_base_ratio",
+        "Pending delta documents as a fraction of the compacted base.",
+        delta_ratio,
+    );
+    prometheus::append_gauge_with_help(
+        out,
+        "drift_noise_rate",
+        "Fraction of ingested segments dropped as noise by the assign_eps gate.",
+        noise_rate,
+    );
+    let traces = TraceStore::global();
+    prometheus::append_gauge_with_help(
+        out,
+        "traces_seen",
+        "Query and ingest traces started since process start.",
+        traces.total_seen() as f64,
+    );
+    prometheus::append_gauge_with_help(
+        out,
+        "traces_kept",
+        "Traces retained in the trace ring after sampling.",
+        traces.total_kept() as f64,
+    );
+    prometheus::append_gauge_with_help(
+        out,
+        "traces_slow",
+        "Traces over the slow-query threshold (always retained).",
+        traces.total_slow() as f64,
+    );
 }
 
-/// One finite `f64` parameter from the query string or JSON body.
-fn param_f64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<f64>, Response> {
-    let parsed = if let Some(v) = req.query_param(key) {
-        v.parse::<f64>().ok()
-    } else {
-        match body.as_ref().and_then(|b| b.get(key)) {
-            None => return Ok(None),
-            Some(v) => v.as_f64(),
-        }
+/// Appends the per-shard labeled families to a `/metrics` exposition.
+fn append_shard_families(out: &mut String, stats: &ShardStats) {
+    let collect = |f: &dyn Fn(usize) -> f64| -> Vec<(String, f64)> {
+        (0..stats.shards()).map(|i| (i.to_string(), f(i))).collect()
     };
-    match parsed {
-        Some(v) if v.is_finite() => Ok(Some(v)),
-        _ => Err(Response::bad_request(format!(
-            "{key} must be a finite number"
-        ))),
-    }
+    prometheus::append_labeled_family(
+        out,
+        "serve/shard_scans",
+        "Cluster scans routed to each shard.",
+        "counter",
+        "shard",
+        &collect(&|i| stats.counters(i).scans as f64),
+    );
+    prometheus::append_labeled_family(
+        out,
+        "serve/shard_postings_scanned",
+        "Postings walked by each shard's scans.",
+        "counter",
+        "shard",
+        &collect(&|i| stats.counters(i).postings_scanned as f64),
+    );
+    prometheus::append_labeled_family(
+        out,
+        "serve/shard_scan_ns",
+        "Cumulative scan wall time per shard, in nanoseconds.",
+        "counter",
+        "shard",
+        &collect(&|i| stats.counters(i).scan_ns as f64),
+    );
+    prometheus::append_labeled_family(
+        out,
+        "serve/shard_ready",
+        "Per-shard readiness (1 = serving).",
+        "gauge",
+        "shard",
+        &collect(&|i| if stats.is_ready(i) { 1.0 } else { 0.0 }),
+    );
 }
 
 /// Parses a boards file: one `doc_id board_name` pair per line, `#`

@@ -153,6 +153,57 @@ fn mapped_server_matches_heap_rankings_at_every_worker_count() {
     }
 }
 
+/// The mapped app takes `k` through the live app's parser: clamped to
+/// `[1, max_k]`, so `k=0` still ranks one result and a `k` near `2^63`
+/// cannot overflow the scan's `n = 2k`.
+#[test]
+fn mapped_server_clamps_k_like_the_live_app() {
+    const MAX_K: usize = 7;
+    let store_path = temp_dir().join("mapped-k.imp");
+    let (coll, pipe) = build_store(&store_path, 60, 13);
+    let view = Arc::new(StoreView::open(&store_path).unwrap());
+    let app = MappedServeApp::with_max_k(view, MAX_K);
+    let server = PoolServer::bind("127.0.0.1:0").unwrap().with_workers(1);
+    let addr = server.local_addr().unwrap();
+    app.set_stopper(server.stopper().unwrap());
+    let handler_app = app.clone();
+    let join = std::thread::spawn(move || {
+        server.run(Arc::new(move |req: &forum_obs::serve::Request| {
+            handler_app.handle(req)
+        }))
+    });
+
+    let q = (0..coll.len())
+        .find(|&q| !pipe.top_k(&coll, q, 1).is_empty())
+        .expect("some document has a related post");
+    for (k, want_k) in [
+        ("0", 1),
+        ("50", MAX_K),
+        ("9223372036854775808", MAX_K),
+        ("18446744073709551615", MAX_K),
+    ] {
+        let (status, body) = get(addr, &format!("/query?doc={q}&k={k}"));
+        assert_eq!(status, 200, "k={k}: {body}");
+        let v = Json::parse(body.trim()).unwrap();
+        assert_eq!(
+            v.get("k").and_then(Json::as_u64),
+            Some(want_k as u64),
+            "{body}"
+        );
+        assert_eq!(
+            bits(&ranking_of(&body)),
+            bits(&pipe.top_k(&coll, q, want_k)),
+            "k={k}"
+        );
+    }
+    let (status, _) = get(addr, &format!("/query?doc={q}&k=18446744073709551616"));
+    assert_eq!(status, 400, "a k beyond u64 is malformed, not clamped");
+
+    let (status, _) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    join.join().unwrap();
+}
+
 #[test]
 fn pending_wal_records_gate_the_mapped_reader() {
     let store_path = temp_dir().join("mapped-pending.imp");

@@ -1,14 +1,14 @@
 //! In-process integration test of `intentmatch serve`'s application layer:
-//! a real [`forum_obs::serve::HttpServer`] on a real socket, the real
-//! [`forum_ingest::ServeApp`] over a real store — health, readiness,
+//! a real [`forum_shard::PoolServer`] on a real socket, the real
+//! [`forum_ingest::ShardServeApp`] over a real store — health, readiness,
 //! Prometheus scrape, queries (bit-identical to the offline engine),
 //! EXPLAIN, the event log, and clean shutdown.
 
 use forum_corpus::{Corpus, Domain, GenConfig};
-use forum_ingest::{wal_path_for, IngestConfig, LiveStore, ServeApp};
+use forum_ingest::{wal_path_for, IngestConfig, LiveStore, ShardServeApp, ShardServeConfig};
 use forum_obs::json::Json;
-use forum_obs::serve::HttpServer;
 use forum_obs::{prometheus, EventLog, Registry};
+use forum_shard::PoolServer;
 use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection, QueryEngine};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -103,9 +103,13 @@ fn serve_app_end_to_end_over_a_real_socket() {
         IngestConfig::default(),
     )
     .unwrap();
-    let app = ServeApp::new(live.handle(), wal_path_for(&store_path));
+    let app = ShardServeApp::new(
+        live.handle(),
+        wal_path_for(&store_path),
+        ShardServeConfig::default(),
+    );
 
-    let server = HttpServer::bind("127.0.0.1:0").unwrap();
+    let server = PoolServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
     app.set_stopper(server.stopper().unwrap());
     let handler_app = app.clone();
@@ -261,8 +265,12 @@ fn tracing_is_bit_identical_and_slow_queries_reach_the_slowlog() {
         IngestConfig::default(),
     )
     .unwrap();
-    let app = ServeApp::new(live.handle(), wal_path_for(&store_path));
-    let server = HttpServer::bind("127.0.0.1:0").unwrap();
+    let app = ShardServeApp::new(
+        live.handle(),
+        wal_path_for(&store_path),
+        ShardServeConfig::default(),
+    );
+    let server = PoolServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
     app.set_stopper(server.stopper().unwrap());
     let handler_app = app.clone();
@@ -319,10 +327,11 @@ fn tracing_is_bit_identical_and_slow_queries_reach_the_slowlog() {
         assert!(t.get("total_ns").and_then(Json::as_u64).is_some());
         let spans = t.get("spans").and_then(Json::as_arr).unwrap();
         assert!(
-            spans
-                .iter()
-                .any(|s| s.get("name").and_then(Json::as_str) == Some("engine/algo2")),
-            "compacted-path trace must carry the engine span: {body}"
+            spans.iter().any(|s| matches!(
+                s.get("name").and_then(Json::as_str),
+                Some("shard/scatter" | "shard/gather")
+            )),
+            "compacted-path trace must carry the scatter/gather span: {body}"
         );
     }
 

@@ -12,11 +12,8 @@
 //! shed request never reaches the scatter path.
 
 use forum_corpus::{Corpus, Domain, GenConfig};
-use forum_ingest::{
-    wal_path_for, IngestConfig, LiveStore, ServeApp, ShardServeApp, ShardServeConfig,
-};
+use forum_ingest::{wal_path_for, IngestConfig, LiveStore, ShardServeApp, ShardServeConfig};
 use forum_obs::json::Json;
-use forum_obs::serve::HttpServer;
 use forum_obs::{prometheus, Registry};
 use forum_shard::PoolServer;
 use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection};
@@ -136,19 +133,6 @@ fn sharded_ranking_is_bit_identical_for_any_shard_count() {
     )
     .unwrap();
 
-    // Sequential reference: the plain (unsharded) app on the plain
-    // thread-per-connection server, over the same live handle.
-    let reference = ServeApp::new(live.handle(), wal_path_for(&store_path));
-    let ref_server = HttpServer::bind("127.0.0.1:0").unwrap();
-    let ref_addr = ref_server.local_addr().unwrap();
-    reference.set_stopper(ref_server.stopper().unwrap());
-    let handler = reference.clone();
-    let ref_join = std::thread::spawn(move || {
-        ref_server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-            handler.handle(req)
-        }))
-    });
-
     let mut sharded = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let app = ShardServeApp::new(
@@ -163,12 +147,13 @@ fn sharded_ranking_is_bit_identical_for_any_shard_count() {
         sharded.push((shards, addr, join));
     }
 
+    // Sequential reference, in process over the same live handle: the
+    // offline engine while the store is compacted, the epoch's own
+    // single-scanner loop once writes are pending.
     let queries = [0u64, 3, 17, 29, 54];
-    let compare = |label: &str| {
+    let compare = |label: &str, reference: &dyn Fn(usize) -> Vec<(u32, f64)>| {
         for &q in &queries {
-            let (status, body) = post(ref_addr, "/query", &format!("{{\"doc\": {q}, \"k\": 5}}"));
-            assert_eq!(status, 200, "{body}");
-            let want = bits(&ranking_of(&body));
+            let want = bits(&reference(q as usize));
             for (shards, addr, _) in &sharded {
                 let (status, body) = post(*addr, "/query", &format!("{{\"doc\": {q}, \"k\": 5}}"));
                 assert_eq!(status, 200, "{body}");
@@ -184,7 +169,10 @@ fn sharded_ranking_is_bit_identical_for_any_shard_count() {
         }
     };
 
-    compare("compacted store");
+    compare("compacted store", &|q| {
+        let epoch = live.current();
+        epoch.base.pipeline.top_k(&epoch.base.collection, q, 5)
+    });
 
     // A pending write moves the epoch: the shard view rebuilds and the
     // delta scans join the scatter — the bits must still agree.
@@ -192,16 +180,13 @@ fn sharded_ranking_is_bit_identical_for_any_shard_count() {
         .unwrap();
     live.add("the kernel driver update broke my wireless adapter again")
         .unwrap();
-    compare("pending delta");
+    compare("pending delta", &|q| live.current().top_k(q as u32, 5));
 
     for (_, addr, join) in sharded {
         let (status, _) = post(addr, "/shutdown", "");
         assert_eq!(status, 200);
         join.join().unwrap();
     }
-    let (status, _) = post(ref_addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    ref_join.join().unwrap();
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(wal_path_for(&store_path)).ok();
 }

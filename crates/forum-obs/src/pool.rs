@@ -1,10 +1,9 @@
 //! Worker-pool HTTP serving with bounded admission and deadline-aware
-//! load-shedding — the sharded serving tier's front door.
+//! load-shedding — the process's one accept loop.
 //!
-//! [`crate::serve::HttpServer`] spawns a thread per connection, which is
-//! fine for telemetry scrapes but melts under query load: an overloaded
-//! process accumulates threads until the connection cap turns everything
-//! away. [`PoolServer`] inverts that shape:
+//! Thread-per-connection melts under query load: an overloaded process
+//! accumulates threads until it can only turn clients away.
+//! [`PoolServer`] inverts that shape:
 //!
 //! * a single non-blocking accept loop stamps every connection with an
 //!   admission deadline and pushes it into a bounded [`AdmissionQueue`];
@@ -15,7 +14,9 @@
 //!   is evicted and answered `503` with a `Retry-After` header, and a
 //!   worker re-checks the deadline both before reading the request and
 //!   again before dispatching it — an expired request never reaches the
-//!   handler, so it can never start a partial scatter.
+//!   handler, so it can never start a partial scatter;
+//! * a handler that panics answers its client `500` and the worker lives
+//!   on, so a bad request can never shrink the pool.
 //!
 //! Shutdown is drain-then-stop: once [`Stopper::stop`] fires, the accept
 //! loop closes the queue, workers serve everything already admitted, and
@@ -31,6 +32,7 @@ use crate::registry::Registry;
 use crate::serve::{drain_and_close, read_request, Handler, Response, Stopper, READ_TIMEOUT};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -209,7 +211,7 @@ impl PoolServer {
     /// A handle that can stop the server from another thread (or from
     /// inside a handler, e.g. `POST /shutdown`).
     pub fn stopper(&self) -> std::io::Result<Stopper> {
-        Ok(Stopper::new(self.listener.local_addr()?, self.stop.clone()))
+        Ok(Stopper::new(self.stop.clone()))
     }
 
     /// Accepts, admits, and serves until [`Stopper::stop`]; then closes
@@ -299,7 +301,11 @@ fn worker_loop(queue: &AdmissionQueue<TcpStream>, handler: &Handler, retry_secs:
                         obs.incr("serve/shed_total", 1);
                         Response::shed("deadline exceeded before dispatch", retry_secs)
                     } else {
-                        handler(&req)
+                        // The dispatch cannot leave pool state half-updated:
+                        // the worker owns nothing but this connection.
+                        catch_unwind(AssertUnwindSafe(|| handler(&req))).unwrap_or_else(|_| {
+                            Response::text(500, "internal error: the handler panicked\n")
+                        })
                     }
                 }
                 Err(resp) => resp,
@@ -434,6 +440,9 @@ mod tests {
         // Every extra client must still get an answer: the accept loop keeps
         // admitting and shedding while the worker sleeps, and none of the
         // shed requests may ever reach the handler.
+        let registry = Registry::global();
+        registry.set_enabled(true);
+        let shed_before = registry.snapshot().counter("serve/shed_total");
         let hits = Arc::new(AtomicUsize::new(0));
         let handler_hits = hits.clone();
         let server = PoolServer::bind("127.0.0.1:0")
@@ -477,6 +486,27 @@ mod tests {
         // Only the slow request reached the handler — a shed request never
         // executes any part of a dispatch.
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+        // Every shed counts, whichever path shed it.
+        assert!(
+            registry.snapshot().counter("serve/shed_total") >= shed_before + 6,
+            "each shed 503 must count in serve/shed_total"
+        );
+        stopper.stop();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_keeps_its_worker() {
+        let server = PoolServer::bind("127.0.0.1:0").unwrap().with_workers(1);
+        let (addr, stopper, join) = spawn_pool(server, |req| {
+            assert!(req.path != "/boom", "handler bug on {}", req.path);
+            Response::text(200, "ok")
+        });
+        let out = raw_request(addr, "GET /boom HTTP/1.1\r\n\r\n");
+        assert_eq!(status_of(&out), 500, "{out:?}");
+        // The single worker survived the panic and serves the next request.
+        let out = raw_request(addr, "GET /ok HTTP/1.1\r\n\r\n");
+        assert_eq!(status_of(&out), 200, "{out:?}");
         stopper.stop();
         join.join().unwrap();
     }

@@ -1,12 +1,12 @@
-//! A zero-dependency HTTP/1.1 telemetry server on [`std::net::TcpListener`].
+//! A zero-dependency HTTP/1.1 telemetry surface on [`std::net`].
 //!
 //! Two layers:
 //!
 //! * Protocol plumbing — [`Request`] (hand-rolled HTTP/1.1 parsing with a
-//!   bounded head read and a capped body), [`Response`], and [`HttpServer`]
-//!   (blocking accept loop, thread-per-connection with a small cap; over
-//!   the cap new connections get `503` without spawning). Connections are
-//!   `Connection: close` — scrapes are one-shot, keep-alive buys nothing.
+//!   bounded head read and a capped body), [`Response`], the [`Handler`]
+//!   type, and [`Stopper`]. The one accept loop that drives them is
+//!   [`crate::pool::PoolServer`]. Connections are `Connection: close` —
+//!   scrapes are one-shot, keep-alive buys nothing.
 //! * [`TelemetryRoutes`] — the standard observability endpoints over a
 //!   [`Registry`] + [`EventLog`] + [`TraceStore`] + a pluggable
 //!   [`HealthSource`]: `GET /metrics` (Prometheus text exposition),
@@ -27,8 +27,8 @@ use crate::registry::Registry;
 use crate::trace::TraceStore;
 use crate::{export, prometheus};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -36,8 +36,6 @@ use std::time::{Duration, Instant, SystemTime};
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Default cap on concurrently handled connections.
-pub const DEFAULT_MAX_CONNECTIONS: usize = 16;
 /// Per-connection socket read timeout (bounds slow or stalled clients).
 pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -123,8 +121,8 @@ impl Response {
     }
 
     /// A `503` telling the client to come back after `retry_after_secs` —
-    /// the shared shape of every shedding path (connection cap, admission
-    /// queue overflow, deadline expiry).
+    /// the shared shape of every shedding path (admission queue overflow,
+    /// deadline expiry).
     pub fn shed(reason: &str, retry_after_secs: u64) -> Response {
         Response::text(503, format!("{reason}\n"))
             .with_header("Retry-After", retry_after_secs.to_string())
@@ -323,110 +321,29 @@ pub(crate) fn drain_and_close(stream: &mut TcpStream) {
     }
 }
 
-/// The handler type [`HttpServer::run`] dispatches to.
+/// The handler type [`crate::pool::PoolServer::run`] dispatches to.
 pub type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
 /// Requests the accept loop to exit; cloneable into handler closures.
 #[derive(Clone)]
 pub struct Stopper {
-    addr: SocketAddr,
     stop: Arc<AtomicBool>,
 }
 
 impl Stopper {
-    pub(crate) fn new(addr: SocketAddr, stop: Arc<AtomicBool>) -> Stopper {
-        Stopper { addr, stop }
+    pub(crate) fn new(stop: Arc<AtomicBool>) -> Stopper {
+        Stopper { stop }
     }
 
-    /// Signals the server to stop and unblocks its accept loop. Idempotent.
+    /// Signals the server to stop; its accept loop notices within one poll
+    /// tick. Idempotent.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 
     /// Whether stop has been requested.
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-}
-
-/// A minimal threaded HTTP server.
-pub struct HttpServer {
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    max_connections: usize,
-}
-
-impl HttpServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    pub fn bind(addr: &str) -> std::io::Result<HttpServer> {
-        Ok(HttpServer {
-            listener: TcpListener::bind(addr)?,
-            stop: Arc::new(AtomicBool::new(false)),
-            max_connections: DEFAULT_MAX_CONNECTIONS,
-        })
-    }
-
-    /// Overrides the concurrent-connection cap.
-    pub fn with_max_connections(mut self, cap: usize) -> HttpServer {
-        self.max_connections = cap.max(1);
-        self
-    }
-
-    /// The bound address (read the ephemeral port from here).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// A handle that can stop the accept loop from another thread (or from
-    /// inside a handler).
-    pub fn stopper(&self) -> std::io::Result<Stopper> {
-        Ok(Stopper {
-            addr: self.listener.local_addr()?,
-            stop: self.stop.clone(),
-        })
-    }
-
-    /// Accepts and serves connections until [`Stopper::stop`] is called.
-    /// Each connection is parsed, dispatched to `handler`, answered, and
-    /// closed on its own thread; beyond `max_connections` concurrent
-    /// threads, connections are answered `503` inline without spawning.
-    ///
-    /// Shutdown is graceful: after the accept loop exits, `run` waits
-    /// (bounded) for in-flight connection threads to finish their
-    /// responses — a handler that triggers [`Stopper::stop`] still gets
-    /// its reply onto the wire before the caller proceeds to exit.
-    pub fn run(self, handler: Arc<Handler>) {
-        let active = Arc::new(AtomicUsize::new(0));
-        for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(mut stream) = stream else { continue };
-            let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-            if active.load(Ordering::SeqCst) >= self.max_connections {
-                Registry::global().incr("serve/shed_total", 1);
-                let _ = Response::shed("connection cap reached", 1).write_to(&mut stream);
-                continue;
-            }
-            active.fetch_add(1, Ordering::SeqCst);
-            let handler = handler.clone();
-            let active = active.clone();
-            std::thread::spawn(move || {
-                let response = match read_request(&mut stream) {
-                    Ok(req) => handler(&req),
-                    Err(resp) => resp,
-                };
-                let _ = response.write_to(&mut stream);
-                drain_and_close(&mut stream);
-                active.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while active.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
     }
 }
 
@@ -652,6 +569,7 @@ impl TelemetryRoutes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::SocketAddr;
 
     fn request(addr: SocketAddr, raw: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -673,7 +591,7 @@ mod tests {
     fn spawn_server(
         handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
     ) -> (SocketAddr, Stopper, std::thread::JoinHandle<()>) {
-        let server = HttpServer::bind("127.0.0.1:0").unwrap();
+        let server = crate::pool::PoolServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
         let stopper = server.stopper().unwrap();
         let join = std::thread::spawn(move || server.run(Arc::new(handler)));
@@ -749,49 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn connection_cap_503_carries_retry_after() {
-        let server = HttpServer::bind("127.0.0.1:0")
-            .unwrap()
-            .with_max_connections(1);
-        let addr = server.local_addr().unwrap();
-        let stopper = server.stopper().unwrap();
-        let join = std::thread::spawn(move || {
-            server.run(Arc::new(|_req: &Request| {
-                std::thread::sleep(Duration::from_millis(500));
-                Response::text(200, "slow ok")
-            }))
-        });
-        let registry = Registry::global();
-        let was = registry.is_enabled();
-        registry.set_enabled(true);
-        let shed_before = registry.snapshot().counter("serve/shed_total");
-        let slow = std::thread::spawn(move || request(addr, "GET /hold HTTP/1.1\r\n\r\n"));
-        std::thread::sleep(Duration::from_millis(100));
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"GET /over-cap HTTP/1.1\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
-        assert!(
-            raw.to_ascii_lowercase().contains("retry-after:"),
-            "cap 503 must carry Retry-After: {raw}"
-        );
-        assert!(
-            registry.snapshot().counter("serve/shed_total") > shed_before,
-            "cap 503 must count as a shed"
-        );
-        assert_eq!(slow.join().unwrap().0, 200);
-        stopper.stop();
-        join.join().unwrap();
-        registry.set_enabled(was);
-    }
-
-    #[test]
     fn telemetry_routes_cover_the_standard_endpoints() {
         // Use a local registry? TelemetryRoutes::global reads the global
         // one; record through it with distinctive names instead.
+        // The global registry is only ever switched on in this crate's
+        // tests: restoring "off" would race the pool tests' shed counts.
         let registry = Registry::global();
-        let was = registry.is_enabled();
         registry.set_enabled(true);
         registry.incr("servetest/hits", 3);
         registry.record("servetest/lat_ns", 512);
@@ -855,7 +736,6 @@ mod tests {
 
         stopper.stop();
         join.join().unwrap();
-        registry.set_enabled(was);
         events.set_enabled(events_was);
     }
 
