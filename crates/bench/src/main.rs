@@ -16,7 +16,7 @@
 //!   fig11             timing sweep over collection sizes
 //!   qps               batch query throughput vs worker threads
 //!   serve_scale       sharded pool under open-loop load: p50/p99 vs offered QPS
-//!   cluster_scale     exact vs norm-pruned vs parallel DBSCAN at 10k-200k points
+//!   cluster_scale     exact vs pruned vs parallel DBSCAN: 10k-200k blobs, pipeline features
 //!   store_scale       cold start, heap hydration vs mapped view, 10k-200k segments
 //!   early_term        impact-ordered early termination vs exhaustive scans + TA smoke
 //!   ingest_throughput live WAL-durable adds + compaction vs full rebuild

@@ -87,6 +87,58 @@ impl Default for PipelineConfig {
     }
 }
 
+impl PipelineConfig {
+    /// The DBSCAN parameters a build over `n` raw segments clusters with:
+    /// [`Self::dbscan`], an automatic `min_pts` resolved to 2% of the
+    /// clustered points (`n` capped at the sample size), at least 8.
+    pub fn dbscan_for(&self, n: usize) -> DbscanConfig {
+        let mut dbscan = self.dbscan;
+        if dbscan.min_pts == 0 {
+            dbscan.min_pts = (n.min(self.max_cluster_sample) / 50).max(8);
+        }
+        dbscan
+    }
+
+    fn feature_dim(&self) -> usize {
+        if self.type1_weights_only {
+            forum_nlp::cm::NUM_FEATURES
+        } else {
+            forum_cluster::SEGMENT_FEATURE_DIM
+        }
+    }
+}
+
+/// The segment weight vectors (Eqs. 5–6) of every raw segment, in
+/// document then segment order, with each row's `(document, segment)`.
+fn feature_rows(
+    collection: &PostCollection,
+    raw_segmentations: &[Segmentation],
+    feature_dim: usize,
+) -> (PointMatrix, Vec<(usize, forum_text::Segment)>) {
+    let mut seg_owner: Vec<(usize, forum_text::Segment)> = Vec::new();
+    let mut features = PointMatrix::with_dim(feature_dim);
+    for (d, seg) in raw_segmentations.iter().enumerate() {
+        let whole = collection.docs[d].whole();
+        for s in seg.segments() {
+            let tables = collection.docs[d].segment_tables(s);
+            let mut f = segment_features(&tables, &whole);
+            f.truncate(feature_dim);
+            seg_owner.push((d, s));
+            features.push(&f);
+        }
+    }
+    (features, seg_owner)
+}
+
+/// The matrix [`IntentPipeline::build`] clusters: `cfg`'s segmentation of
+/// every document, then one weight vector per raw segment. Pair it with
+/// [`PipelineConfig::dbscan_for`] to cluster it exactly as a build does.
+pub fn segment_feature_matrix(collection: &PostCollection, cfg: &PipelineConfig) -> PointMatrix {
+    let raw_segmentations =
+        crate::par::parallel_map(&collection.docs, cfg.threads, |d| cfg.strategy.run(d));
+    feature_rows(collection, &raw_segmentations, cfg.feature_dim()).0
+}
+
 /// Wall-clock cost of each offline phase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildTimings {
@@ -193,37 +245,16 @@ impl IntentPipeline {
         // Phase 2: weight vectors, one per raw segment, built directly
         // into the flat storage the clustering kernels consume.
         let span = obs.span("features");
-        let feature_dim = if cfg.type1_weights_only {
-            forum_nlp::cm::NUM_FEATURES
-        } else {
-            forum_cluster::SEGMENT_FEATURE_DIM
-        };
-        let mut seg_owner: Vec<(usize, forum_text::Segment)> = Vec::new();
-        let mut features = PointMatrix::with_dim(feature_dim);
-        for (d, seg) in raw_segmentations.iter().enumerate() {
-            let whole = collection.docs[d].whole();
-            for s in seg.segments() {
-                let tables = collection.docs[d].segment_tables(s);
-                let mut f = segment_features(&tables, &whole);
-                f.truncate(feature_dim);
-                seg_owner.push((d, s));
-                features.push(&f);
-            }
-        }
+        let (features, seg_owner) = feature_rows(collection, &raw_segmentations, cfg.feature_dim());
         timings.features = span.finish();
         obs.gauge("offline/raw_segments").set(features.len() as i64);
 
         // Phase 3: segment grouping (DBSCAN).
         let span = obs.span("clustering");
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut dbscan_cfg = cfg.dbscan;
-        if dbscan_cfg.min_pts == 0 {
-            let effective = features.len().min(cfg.max_cluster_sample);
-            dbscan_cfg.min_pts = (effective / 50).max(8);
-        }
         let result = dbscan_sampled_matrix(
             &features,
-            &dbscan_cfg,
+            &cfg.dbscan_for(features.len()),
             cfg.max_cluster_sample,
             cfg.threads,
             &mut rng,

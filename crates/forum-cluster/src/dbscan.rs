@@ -5,11 +5,14 @@
 //! and (3) has a noise notion (Section 6). The production entry point is
 //! [`dbscan_matrix`]: an exact engine over flat [`PointMatrix`] storage
 //! that prunes region-query candidates with an L2-norm band
-//! ([`NormIndex`]), aborts distance sums early ([`sq_dist_bounded`]),
-//! evaluates every surviving candidate pair **once** (half-band symmetric
-//! scans), fans the pair work out across workers balanced by estimated
-//! pair count, and merges the clusters through one shared lock-free
-//! union-find ([`AtomicDsu`]) — producing labels and cluster ids
+//! ([`NormIndex`]), compares each query row with eight candidates at once
+//! in lane-blocked storage ([`LaneMatrix`]) with the early abort of
+//! [`sq_dist_bounded`], counts neighbours over every surviving pair
+//! **once** (half-band symmetric scans), links clusters by scanning only
+//! core points within each point's neighbour reach, fans the pair work
+//! out across workers that claim ranges balanced by estimated pair count,
+//! and merges the clusters through one shared
+//! lock-free union-find ([`AtomicDsu`]) — producing labels and cluster ids
 //! **bit-identical** to the textbook sequential scan ([`dbscan_reference`])
 //! for every thread count.
 //!
@@ -30,7 +33,8 @@ use crate::points::{sq_dist_bounded, NormIndex, PointMatrix};
 use crate::sq_dist;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// DBSCAN parameters.
@@ -64,14 +68,21 @@ pub struct DbscanStats {
     pub region_queries: u64,
     /// Candidate pairs whose distance was actually evaluated (band
     /// survivors; the brute-force scan evaluates `n` per region query).
-    /// The half-band engine evaluates each surviving unordered pair once,
-    /// and its adjacency pass skips pairs whose endpoints are already in
-    /// the same component — so in parallel runs this counter depends on
-    /// scheduling (the labels never do).
+    /// The engine's core pass evaluates each surviving unordered pair once;
+    /// its link pass evaluates each core point against the cores above it
+    /// within its reach, and each non-core point against the cores within
+    /// its reach. Both sets are fixed by the point set, so the counter is
+    /// the same at every thread count.
     pub dist_evals: u64,
     /// Points pushed onto a BFS seed queue ([`dbscan_reference`] only;
     /// the union-find engine has no queue).
     pub enqueued: u64,
+    /// Core points found by the engine — the rows its link pass scans.
+    pub core_points: u64,
+    /// Wall-clock nanoseconds of the engine's three phases: core counts
+    /// (with the norm index and lane layout), links, canonical relabel
+    /// (zero from [`dbscan_reference`]).
+    pub phase_ns: [u64; 3],
 }
 
 /// Clustering outcome: `labels[i]` is `Some(cluster)` or `None` for noise.
@@ -182,14 +193,6 @@ impl AtomicDsu {
         }
     }
 
-    /// Whether `a` and `b` are currently in one component. A `true` is
-    /// definitive (parent edges only ever come from real unions); a
-    /// `false` may miss a union racing in on another thread, which at the
-    /// call sites only costs one redundant distance evaluation.
-    fn connected(&self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     fn union(&self, a: u32, b: u32) {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         while ra != rb {
@@ -209,6 +212,172 @@ impl AtomicDsu {
             }
         }
     }
+}
+
+/// Phase 1's record of one point, in rank space: how many points lie
+/// within eps of it (itself included), and the lowest and highest rank
+/// among them — its *reach*. Every eps-neighbour's rank lies in
+/// `lo..=hi`.
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    count: u32,
+    lo: u32,
+    hi: u32,
+}
+
+impl Reach {
+    /// Rank `r` before any neighbour is found: reaching only itself.
+    fn empty(r: u32) -> Self {
+        Reach {
+            count: 0,
+            lo: r,
+            hi: r,
+        }
+    }
+}
+
+/// Rows per block of a [`LaneMatrix`]: the distance kernel compares one
+/// query row with this many candidate rows at once.
+const LANES: usize = 8;
+
+/// Coordinates the kernel sums between two early-exit checks.
+const CHUNK_DIMS: usize = 8;
+
+/// Bits `lo..hi` of a lane mask.
+fn lane_mask(lo: usize, hi: usize) -> u8 {
+    ((1u16 << hi) - (1u16 << lo)) as u8
+}
+
+/// The lanes whose accumulated sum satisfies `pred`, as a bitmask.
+#[inline(always)]
+fn lanes_where(acc: &[f64; LANES], pred: impl Fn(f64) -> bool) -> u8 {
+    let mut bits = 0u8;
+    for (l, &s) in acc.iter().enumerate() {
+        bits |= u8::from(pred(s)) << l;
+    }
+    bits
+}
+
+/// Point rows stored in blocks of [`LANES`] rows, dimension-major within a
+/// block: coordinate `d` of row `r` lives at
+/// `((r / LANES) * dim + d) * LANES + r % LANES`. One coordinate of a whole
+/// block is then one contiguous run of `LANES` values, so the kernel keeps
+/// `LANES` independent sums in flight instead of one latency-bound add
+/// chain per pair. The padding lanes of the last block hold zeros and are
+/// masked out of every scan.
+struct LaneMatrix {
+    data: Vec<f64>,
+    dim: usize,
+}
+
+impl LaneMatrix {
+    /// A `rows × dim` matrix whose coordinate `(r, d)` is `value(r, d)`.
+    fn build(rows: usize, dim: usize, value: impl Fn(usize, usize) -> f64) -> Self {
+        let mut data = vec![0.0; rows.div_ceil(LANES) * dim * LANES];
+        for r in 0..rows {
+            let base = (r / LANES) * dim * LANES + r % LANES;
+            for d in 0..dim {
+                data[base + d * LANES] = value(r, d);
+            }
+        }
+        LaneMatrix { data, dim }
+    }
+
+    #[inline]
+    fn at(&self, r: usize, d: usize) -> f64 {
+        self.data[((r / LANES) * self.dim + d) * LANES + r % LANES]
+    }
+
+    /// Copies row `r` into `out` (of length `dim`), row-major.
+    fn row_into(&self, r: usize, out: &mut [f64]) {
+        for (d, slot) in out.iter_mut().enumerate() {
+            *slot = self.at(r, d);
+        }
+    }
+
+    /// The lanes `l` of `mask` whose row `block * LANES + l` lies within
+    /// `bound` of `query` — per lane exactly
+    /// `sq_dist_bounded(query, row, bound).is_some()`. Each lane sums its
+    /// own pair left to right, the order `sq_dist_bounded` uses, so every
+    /// `≤ bound` decision is bit-identical. After each chunk of
+    /// [`CHUNK_DIMS`] coordinates the block is abandoned once every masked
+    /// lane exceeds `bound`: partial sums of squares never decrease, so
+    /// those lanes could only end up larger (or NaN), and either way
+    /// outside.
+    #[inline(always)]
+    fn block_within(&self, block: usize, query: &[f64], bound: f64, mask: u8) -> u8 {
+        let width = self.dim * LANES;
+        let cols = &self.data[block * width..(block + 1) * width];
+        let mut acc = [0.0f64; LANES];
+        for (qs, cs) in query
+            .chunks(CHUNK_DIMS)
+            .zip(cols.chunks(CHUNK_DIMS * LANES))
+        {
+            for (&q, col) in qs.iter().zip(cs.chunks_exact(LANES)) {
+                for (s, &c) in acc.iter_mut().zip(col) {
+                    let t = q - c;
+                    *s += t * t;
+                }
+            }
+            if mask & !lanes_where(&acc, |s| s > bound) == 0 {
+                return 0;
+            }
+        }
+        mask & lanes_where(&acc, |s| s <= bound)
+    }
+
+    /// Calls `hit(c)` for every row `c` in `range` (ascending) within
+    /// `bound` of `query`, and returns the number of rows evaluated.
+    fn scan(
+        &self,
+        query: &[f64],
+        range: Range<usize>,
+        bound: f64,
+        mut hit: impl FnMut(usize),
+    ) -> u64 {
+        if range.start >= range.end {
+            return 0;
+        }
+        for block in range.start / LANES..range.end.div_ceil(LANES) {
+            let base = block * LANES;
+            let lo = range.start.saturating_sub(base);
+            let hi = (range.end - base).min(LANES);
+            let mut hits = self.block_within(block, query, bound, lane_mask(lo, hi));
+            while hits != 0 {
+                hit(base + hits.trailing_zeros() as usize);
+                hits &= hits - 1;
+            }
+        }
+        range.len() as u64
+    }
+}
+
+/// Work ranges per worker in the engine's passes: enough that dynamic
+/// claiming evens out the ranges' misestimated costs.
+const RANGES_PER_WORKER: usize = 16;
+
+/// Runs `work(state, lo, hi)` over every range of `ranges` on up to
+/// `threads` workers (`0` = one per core) and returns each worker's
+/// state. Workers claim the next unclaimed range until none is left: range
+/// weights only estimate the work (early exits make a pair's cost depend
+/// on the data), so a worker that drew cheap ranges keeps taking more
+/// instead of idling beside one stuck with expensive ones.
+fn claim_ranges<S: Send>(
+    ranges: &[(usize, usize)],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize, usize) + Sync,
+) -> Vec<S> {
+    let workers: Vec<usize> =
+        (0..forum_par::auto_threads(threads).min(ranges.len()).max(1)).collect();
+    let next = AtomicUsize::new(0);
+    forum_par::parallel_map(&workers, workers.len(), |_| {
+        let mut state = init();
+        while let Some(&(lo, hi)) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) {
+            work(&mut state, lo, hi);
+        }
+        state
+    })
 }
 
 /// Contiguous per-worker index ranges covering `0..n`.
@@ -252,20 +421,28 @@ fn weighted_ranges(weights: &[u64], threads: usize) -> Vec<(usize, usize)> {
 /// (`0` = one per core). Output — labels *and* cluster numbering — is
 /// bit-identical to [`dbscan_reference`] for every thread count.
 ///
+/// The rows are first permuted into norm order and stored lane-blocked
+/// ([`LaneMatrix`]), so every band is a contiguous run of blocks and each
+/// query row is compared with eight candidates at once.
+///
 /// Phases:
 /// 1. **Core determination** (parallel, half-band): each unordered
 ///    candidate pair `(r, c)` with rank `r < c` is distance-checked once —
 ///    from the lower rank's side — and credited to both endpoints'
 ///    neighbour counts (the self-distance is checked explicitly so NaN
-///    points still neighbour nothing); `core[i] = count ≥ min_pts`.
-///    Workers own contiguous rank ranges balanced by half-band size, and
-///    merge their per-point count vectors at the barrier.
-/// 2. **Adjacency** (parallel, half-band): the same pair enumeration, now
-///    into one *shared* lock-free forest. Pairs with no core endpoint are
-///    skipped outright; core–core pairs already in one component skip the
-///    distance arithmetic entirely (a skipped edge would connect points
-///    that are already connected); surviving core–core eps-edges are
-///    unioned and core–noncore eps-pairs collected as `(border, core)`.
+///    points still neighbour nothing); `core[i] = count ≥ min_pts`. Each
+///    point also keeps its [`Reach`]: the lowest and highest rank among
+///    its eps-neighbours. Workers claim contiguous rank ranges (cut by
+///    half-band size) one at a time and merge their per-point vectors at
+///    the barrier.
+/// 2. **Links over cores only** (parallel): the core rows, gathered in
+///    rank order, get a lane matrix of their own. Each core point scans
+///    the cores ranked above it up to the top of its reach and unions
+///    every pair within eps into one shared lock-free forest; each
+///    non-core point scans the cores across its reach and records every
+///    core within eps as `(border, core)`. Pairs without a core endpoint
+///    are never visited, no candidate outside a reach can be a
+///    neighbour, and no forest probe precedes the arithmetic.
 /// 3. **Canonical relabel** (sequential, O(n·α)): scanning core points in
 ///    index order assigns each component its cluster id at the component's
 ///    minimum core index — exactly the id the sequential algorithm's outer
@@ -287,17 +464,25 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
             stats: DbscanStats::default(),
         };
     }
+    // Phase 1's clock includes the index and layout set-up.
+    let mut phase_started = started;
     let eps2 = cfg.eps * cfg.eps;
     let index = NormIndex::build(points);
-    // Permute the rows into norm order once: a band is then a contiguous
-    // run of ranks, so the hot scans below stream adjacent rows instead of
-    // chasing `order[...]` indirections all over the original matrix —
-    // the difference between cache-resident and DRAM-latency-bound once
-    // the matrix outgrows L2. Phases 1–3a work entirely in rank space;
-    // 3b maps back through the permutation. The per-pair arithmetic is
-    // untouched, so labels stay bit-identical.
+    // A column holding one finite value in every row adds an exact zero to
+    // every pair's sum (`s + 0 = s`), so the kernel leaves it out: fewer
+    // terms, same bits. (CM features that never fire make such columns.)
+    let first = points.row(0);
+    let cols: Vec<usize> = (0..points.dim())
+        .filter(|&d| !(first[d].is_finite() && points.iter_rows().all(|row| row[d] == first[d])))
+        .collect();
+    let dim = cols.len();
+    // Norm-ordered, lane-blocked rows: a band is a contiguous run of
+    // ranks, so the hot scans stream adjacent blocks instead of chasing
+    // `order[...]` indirections all over the original matrix. Phases 1–2
+    // work entirely in rank space; phase 3 maps back through the
+    // permutation.
     let by_rank: Vec<usize> = index.order().iter().map(|&i| i as usize).collect();
-    let sorted = points.gather(&by_rank);
+    let lanes = LaneMatrix::build(n, dim, |r, j| points.row(by_rank[r])[cols[j]]);
     // Upper half-band sizes (plus the self check) double as the per-rank
     // work estimate for balancing the contiguous worker ranges.
     let half_width: Vec<u64> = (0..n)
@@ -306,93 +491,123 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
             band.end.saturating_sub(r + 1) as u64 + 1
         })
         .collect();
-    let ranges = weighted_ranges(&half_width, threads);
-    let workers = ranges.len();
+    let ranges = weighted_ranges(
+        &half_width,
+        forum_par::auto_threads(threads) * RANGES_PER_WORKER,
+    );
 
     // Phase 1: symmetric half-band neighbour counts → core flags (rank
     // space). Each unordered pair is evaluated once and credited to both
-    // endpoints; counts for ranks outside a worker's own range land in its
-    // private count vector and merge at the barrier.
-    let pass1 = forum_par::parallel_map(&ranges, workers, |&(lo, hi)| {
-        let mut counts = vec![0u32; n];
-        let mut dist_evals = 0u64;
-        for r in lo..hi {
-            let row = sorted.row(r);
-            // Self-distance: 0 for finite rows (always ≤ eps²), NaN — and
-            // therefore uncounted — for NaN rows, as in the full scan.
-            dist_evals += 1;
-            if sq_dist_bounded(row, row, eps2).is_some() {
-                counts[r] += 1;
-            }
-            let band = index.band_range(index.key_at(r), cfg.eps);
-            for c in (r + 1)..band.end {
-                dist_evals += 1;
-                if sq_dist_bounded(row, sorted.row(c), eps2).is_some() {
-                    counts[r] += 1;
-                    counts[c] += 1;
+    // endpoints; reaches of ranks outside a worker's own ranges land in
+    // its private vector and merge at the barrier.
+    let init = || {
+        let reach: Vec<Reach> = (0..n as u32).map(Reach::empty).collect();
+        (reach, 0u64, vec![0.0; dim])
+    };
+    let pass1 = claim_ranges(
+        &ranges,
+        threads,
+        init,
+        |(reach, dist_evals, row), lo, hi| {
+            for r in lo..hi {
+                lanes.row_into(r, row);
+                // Self-distance: 0 for finite rows (always ≤ eps²), NaN — and
+                // therefore uncounted — for NaN rows, as in the full scan.
+                *dist_evals += 1;
+                if sq_dist_bounded(row, row, eps2).is_some() {
+                    reach[r].count += 1;
                 }
+                let band = index.band_range(index.key_at(r), cfg.eps);
+                *dist_evals += lanes.scan(row, (r + 1)..band.end, eps2, |c| {
+                    reach[r].count += 1;
+                    reach[r].hi = c as u32;
+                    reach[c].count += 1;
+                    reach[c].lo = reach[c].lo.min(r as u32);
+                });
             }
-        }
-        (counts, dist_evals)
-    });
+        },
+    );
     let mut stats = DbscanStats {
         region_queries: n as u64,
         ..DbscanStats::default()
     };
-    let mut totals = vec![0u32; n];
-    for (counts, dist_evals) in pass1 {
+    let mut reach: Vec<Reach> = (0..n as u32).map(Reach::empty).collect();
+    for (worker_reach, dist_evals, _) in pass1 {
         stats.dist_evals += dist_evals;
-        for (t, c) in totals.iter_mut().zip(counts) {
-            *t += c;
+        for (total, part) in reach.iter_mut().zip(worker_reach) {
+            total.count += part.count;
+            total.lo = total.lo.min(part.lo);
+            total.hi = total.hi.max(part.hi);
         }
     }
-    let core: Vec<bool> = totals.iter().map(|&c| c as usize >= cfg.min_pts).collect();
-    drop(totals);
+    // `core_pos[r]`: rank `r`'s position among the core points (which are
+    // numbered in rank order), or `None` for a non-core point.
+    let mut core_ranks: Vec<u32> = Vec::new();
+    let core_pos: Vec<Option<u32>> = reach
+        .iter()
+        .enumerate()
+        .map(|(r, point)| {
+            (point.count as usize >= cfg.min_pts).then(|| {
+                core_ranks.push(r as u32);
+                core_ranks.len() as u32 - 1
+            })
+        })
+        .collect();
+    stats.core_points = core_ranks.len() as u64;
+    stats.phase_ns[0] = lap(&mut phase_started);
 
-    // Phase 2: half-band edges into one shared lock-free forest; border
-    // pairs for non-core points. Only pairs with a core endpoint matter,
-    // and already-connected core pairs skip the distance entirely.
-    let dsu = AtomicDsu::new(n);
-    let core_ref = &core;
-    let dsu_ref = &dsu;
-    let pass2 = forum_par::parallel_map(&ranges, workers, |&(lo, hi)| {
-        let mut borders: Vec<(u32, u32)> = Vec::new();
-        let mut dist_evals = 0u64;
-        for r in lo..hi {
-            let row = sorted.row(r);
-            let r_core = core_ref[r];
-            let band = index.band_range(index.key_at(r), cfg.eps);
-            // `c` indexes the core flags, the matrix rows, and the DSU in
-            // lockstep — a range loop is the clear spelling.
-            #[allow(clippy::needless_range_loop)]
-            for c in (r + 1)..band.end {
-                let c_core = core_ref[c];
-                if !r_core && !c_core {
-                    continue;
-                }
-                if r_core && c_core && dsu_ref.connected(r as u32, c as u32) {
-                    continue;
-                }
-                dist_evals += 1;
-                if sq_dist_bounded(row, sorted.row(c), eps2).is_some() {
-                    if r_core && c_core {
-                        dsu_ref.union(r as u32, c as u32);
-                    } else if r_core {
-                        borders.push((c as u32, r as u32));
-                    } else {
-                        borders.push((r as u32, c as u32));
-                    }
-                }
-            }
-        }
-        (borders, dist_evals)
+    // Phase 2: links over the core rows only. Every eps-neighbour of a
+    // point lies within its reach, so a core point's candidates are the
+    // cores above it up to its highest neighbour, a non-core point's the
+    // cores across its whole reach — both contiguous runs of core
+    // positions.
+    let core_lanes = LaneMatrix::build(core_ranks.len(), dim, |p, d| {
+        lanes.at(core_ranks[p] as usize, d)
     });
+    let cores_below = |rank: u32| core_ranks.partition_point(|&c| c < rank);
+    let candidates = |r: usize, pos: Option<u32>| -> Range<usize> {
+        let end = cores_below(reach[r].hi + 1);
+        match pos {
+            Some(p) => (p as usize + 1)..end,
+            None => cores_below(reach[r].lo)..end,
+        }
+    };
+    let link_width: Vec<u64> = core_pos
+        .iter()
+        .enumerate()
+        .map(|(r, &pos)| candidates(r, pos).len() as u64 + 1)
+        .collect();
+    let link_ranges = weighted_ranges(
+        &link_width,
+        forum_par::auto_threads(threads) * RANGES_PER_WORKER,
+    );
+    drop(link_width);
+    let dsu = AtomicDsu::new(core_ranks.len());
+    let init = || (Vec::new(), 0u64, vec![0.0; dim]);
+    let pass2 = claim_ranges(
+        &link_ranges,
+        threads,
+        init,
+        |(borders, dist_evals, row), lo, hi| {
+            for (r, &pos) in (lo..hi).zip(&core_pos[lo..hi]) {
+                lanes.row_into(r, row);
+                let range = candidates(r, pos);
+                *dist_evals += match pos {
+                    Some(p) => core_lanes.scan(row, range, eps2, |q| dsu.union(p, q as u32)),
+                    None => {
+                        core_lanes.scan(row, range, eps2, |q| borders.push((r as u32, q as u32)))
+                    }
+                };
+            }
+        },
+    );
     stats.region_queries += n as u64;
-    let mut border_lists: Vec<Vec<(u32, u32)>> = Vec::with_capacity(workers);
-    for (borders, dist_evals) in pass2 {
+    let mut border_lists: Vec<Vec<(u32, u32)>> = Vec::with_capacity(pass2.len());
+    for (borders, dist_evals, _) in pass2 {
         stats.dist_evals += dist_evals;
         border_lists.push(borders);
     }
+    stats.phase_ns[1] = lap(&mut phase_started);
 
     // Phase 3: canonical numbering — scanning cores in *original* index
     // order hands each component its id at the component's minimum core
@@ -403,12 +618,11 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
         rank_of[i] = r as u32;
     }
     let mut labels: Vec<Option<usize>> = vec![None; n];
-    let mut root_to_id: Vec<u32> = vec![u32::MAX; n];
+    let mut root_to_id: Vec<u32> = vec![u32::MAX; core_ranks.len()];
     let mut num_clusters = 0usize;
     for i in 0..n {
-        let r = rank_of[i];
-        if core[r as usize] {
-            let root = dsu.find(r) as usize;
+        if let Some(p) = core_pos[rank_of[i] as usize] {
+            let root = dsu.find(p) as usize;
             if root_to_id[root] == u32::MAX {
                 root_to_id[root] = num_clusters as u32;
                 num_clusters += 1;
@@ -419,8 +633,8 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
     // Border points: minimum cluster id among in-eps cores (the first
     // cluster whose expansion would have reached them sequentially).
     for borders in border_lists {
-        for (b, c) in borders {
-            let id = root_to_id[dsu.find(c) as usize] as usize;
+        for (b, p) in borders {
+            let id = root_to_id[dsu.find(p) as usize] as usize;
             let slot = &mut labels[by_rank[b as usize]];
             if slot.is_none_or(|cur| id < cur) {
                 *slot = Some(id);
@@ -428,12 +642,21 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
         }
     }
 
+    stats.phase_ns[2] = lap(&mut phase_started);
     record_cluster_metrics(n, &stats, started);
     DbscanResult {
         labels,
         num_clusters,
         stats,
     }
+}
+
+/// Nanoseconds since `*since`, restarting the clock.
+fn lap(since: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*since).as_nanos() as u64;
+    *since = now;
+    ns
 }
 
 /// Publishes one run's counters to the process-wide registry (no-op while
@@ -913,6 +1136,91 @@ mod tests {
         }
     }
 
+    /// Xorshift coordinates in `[-1, 1)`.
+    fn xorshift(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 2000) as f64 / 1000.0 - 1.0
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_bounded_distance() {
+        for dim in [0usize, 1, 7, 8, 9, 28, 33] {
+            let mut next = xorshift(0x2545_f491_4f6c_dd1d ^ dim as u64);
+            // 37 rows: the last block is padded, and every block boundary
+            // cuts through a band somewhere below.
+            let mut rows: Vec<Vec<f64>> = (0..37)
+                .map(|_| (0..dim).map(|_| next()).collect())
+                .collect();
+            if dim > 0 {
+                rows[4][dim - 1] = f64::NAN;
+                rows[11][0] = f64::NAN;
+                rows[20] = rows[3].clone();
+            }
+            let n = rows.len();
+            let lanes = LaneMatrix::build(n, dim, |r, d| rows[r][d]);
+            let mut queries: Vec<Vec<f64>> = vec![rows[0].clone(), rows[4].clone(), vec![0.0; dim]];
+            queries.push((0..dim).map(|_| next() * 0.3).collect());
+            for q in &queries {
+                let tie = crate::sq_dist(q, &rows[9]);
+                for bound in [0.0, 0.3, 1.0, 2.5, tie, tie.next_down(), f64::INFINITY] {
+                    for (lo, hi) in [
+                        (0, n),
+                        (3, 5),
+                        (5, 21),
+                        (8, 16),
+                        (13, n),
+                        (n, n),
+                        (2, 3),
+                        (36, 37),
+                    ] {
+                        let mut got = Vec::new();
+                        let evals = lanes.scan(q, lo..hi, bound, |c| got.push(c));
+                        let want: Vec<usize> = (lo..hi)
+                            .filter(|&c| sq_dist_bounded(q, &rows[c], bound).is_some())
+                            .collect();
+                        assert_eq!(got, want, "dim {dim} bound {bound} range {lo}..{hi}");
+                        assert_eq!(evals, (hi - lo) as u64);
+                    }
+                }
+            }
+            let mut row = vec![0.0; dim];
+            lanes.row_into(20, &mut row);
+            assert_eq!(row, rows[3]);
+        }
+    }
+
+    #[test]
+    fn dist_evals_do_not_depend_on_thread_count() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        let pts: Vec<Vec<f64>> = (0..600)
+            .map(|k| {
+                let c = (k % 3) as f64 * 1.5;
+                vec![c + next() * 0.8, next() * 0.8, c * 0.5 + next()]
+            })
+            .collect();
+        let m = PointMatrix::from_rows(&pts);
+        let cfg = DbscanConfig {
+            eps: 0.3,
+            min_pts: 12,
+        };
+        let single = dbscan_matrix(&m, &cfg, 1);
+        assert!(single.stats.core_points > 0 && single.stats.core_points < pts.len() as u64);
+        for threads in [2usize, 4, 8] {
+            let got = dbscan_matrix(&m, &cfg, threads);
+            assert_eq!(got.labels, single.labels, "threads = {threads}");
+            assert_eq!(
+                got.stats.dist_evals, single.stats.dist_evals,
+                "threads = {threads}"
+            );
+            assert_eq!(got.stats.core_points, single.stats.core_points);
+        }
+    }
+
     #[test]
     fn weighted_ranges_cover_and_balance() {
         // Triangular weights (the half-band shape): ranges must partition
@@ -937,6 +1245,35 @@ mod tests {
                         "range {lo}..{hi} holds {w} of {total}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_skips_constant_columns_exactly() {
+        // Column 1 is one finite value everywhere (skipped), column 2 is
+        // NaN everywhere (kept: NaN − NaN is NaN, not zero), column 3 is
+        // constant but for one NaN (kept).
+        let mut next = xorshift(0x5851_f42d_4c95_7f2d);
+        let mut rows = |nan_col: bool| -> Vec<Vec<f64>> {
+            (0..200)
+                .map(|k| {
+                    let c = (k % 2) as f64;
+                    let last = if k == 7 { f64::NAN } else { -0.25 };
+                    let mid = if nan_col { f64::NAN } else { 0.5 };
+                    vec![c + next() * 0.3, 0.5, mid, last, next() * 0.3]
+                })
+                .collect()
+        };
+        for pts in [rows(false), rows(true)] {
+            let cfg = DbscanConfig {
+                eps: 0.2,
+                min_pts: 5,
+            };
+            let reference = dbscan_reference(&pts, &cfg);
+            for threads in [1usize, 2] {
+                let got = dbscan_matrix(&PointMatrix::from_rows(&pts), &cfg, threads);
+                assert_eq!(got.labels, reference.labels);
             }
         }
     }

@@ -501,6 +501,23 @@ pub(crate) struct UnitStats {
     pub(crate) log_tf_sum: f64,
 }
 
+/// A unit's term frequencies in ascending [`TermId`] order, interning new
+/// terms into `vocab`, and its Eq. 7/8 denominator `Σ_t (log tf(t) + 1)`
+/// summed in that same order. A fixed order makes the sum — and with it
+/// every score — bit-identical across builds of one collection (a
+/// `HashMap`'s iteration order differs between map instances). It is also
+/// the order [`SegmentIndex::audit`] recomputes the sum in, term by term.
+fn term_freqs(vocab: &mut Vocabulary, terms: &[String]) -> (Vec<(TermId, u32)>, f64) {
+    let mut ids: Vec<TermId> = terms.iter().map(|t| vocab.intern(t)).collect();
+    ids.sort_unstable();
+    let freqs: Vec<(TermId, u32)> = ids
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u32))
+        .collect();
+    let log_tf_sum = freqs.iter().map(|&(_, tf)| log_tf(tf)).sum();
+    (freqs, log_tf_sum)
+}
+
 /// Builds a [`SegmentIndex`] incrementally.
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
@@ -519,14 +536,8 @@ impl IndexBuilder {
     /// external document `owner`. Returns the unit's id.
     pub fn add_unit(&mut self, owner: u32, terms: &[String]) -> UnitId {
         let unit = UnitId(u32::try_from(self.units.len()).expect("too many units"));
-        let mut freqs: HashMap<TermId, u32> = HashMap::new();
-        for t in terms {
-            let id = self.vocab.intern(t);
-            *freqs.entry(id).or_insert(0) += 1;
-        }
-        let mut log_tf_sum = 0.0;
-        for (&term, &tf) in &freqs {
-            log_tf_sum += log_tf(tf);
+        let (freqs, log_tf_sum) = term_freqs(&mut self.vocab, terms);
+        for &(term, tf) in &freqs {
             let idx = term.as_usize();
             if idx >= self.postings.len() {
                 self.postings.resize_with(idx + 1, Vec::new);
@@ -1258,14 +1269,8 @@ impl SegmentIndex {
     /// here — the paper re-runs grouping periodically instead.
     pub fn append_unit(&mut self, owner: u32, terms: &[String]) -> UnitId {
         let unit = UnitId(u32::try_from(self.units.len()).expect("too many units"));
-        let mut freqs: HashMap<TermId, u32> = HashMap::new();
-        for t in terms {
-            let id = self.vocab.intern(t);
-            *freqs.entry(id).or_insert(0) += 1;
-        }
-        let mut log_tf_sum = 0.0;
-        for (&term, &tf) in &freqs {
-            log_tf_sum += log_tf(tf);
+        let (freqs, log_tf_sum) = term_freqs(&mut self.vocab, terms);
+        for &(term, tf) in &freqs {
             let idx = term.as_usize();
             if idx >= self.postings.len() {
                 self.postings.resize_with(idx + 1, Vec::new);
@@ -1416,7 +1421,8 @@ impl SegmentIndex {
     /// * stored per-unit statistics (`unique_terms`, `total_terms`, the
     ///   Eq. 7/8 denominator `log_tf_sum`) match a recomputation from the
     ///   postings themselves (float sums compared with a 1e-9 relative
-    ///   tolerance — `HashMap` iteration order varies the summation);
+    ///   tolerance — stores written before the sum's order was fixed carry
+    ///   sums taken in `HashMap` iteration order);
     /// * `avg_unique` matches the mean of the stored unique counts (1e-6
     ///   relative tolerance — `append_unit` maintains it as a running
     ///   mean);
@@ -1695,6 +1701,56 @@ mod tests {
         b.add_unit(3, &terms(&["disk", "boot", "linux"]));
         b.add_unit(4, &terms(&["disk", "driver", "crash", "crash"]));
         b.build()
+    }
+
+    #[test]
+    fn unit_stats_are_bit_identical_across_builds() {
+        // 120 distinct terms with irregular frequencies per unit: summing
+        // their log-tf weights in an order that varies between builds
+        // (such as a hash map's iteration order) changes the last bits.
+        let units: Vec<Vec<String>> = (0..6u32)
+            .map(|u| {
+                let mut words = Vec::new();
+                for t in 0..120u32 {
+                    for _ in 0..=((t * t * 7 + u * 13) % 37) {
+                        words.push(format!("term{}", (t * 13 + u) % 127));
+                    }
+                }
+                words
+            })
+            .collect();
+        let stats_of = |units: &[UnitStats]| -> Vec<(u32, u32, u32, u64)> {
+            units
+                .iter()
+                .map(|u| {
+                    (
+                        u.owner,
+                        u.unique_terms,
+                        u.total_terms,
+                        u.log_tf_sum.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        let build = || {
+            let mut b = IndexBuilder::new();
+            for (owner, words) in units.iter().enumerate() {
+                b.add_unit(owner as u32, words);
+            }
+            b.build()
+        };
+        let first = build();
+        let mut appended = build();
+        appended.append_unit(9, &units[2]);
+        let expected = stats_of(&first.units);
+        let expected_appended = stats_of(&appended.units);
+        assert!(first.audit().problems.is_empty());
+        for _ in 0..20 {
+            assert_eq!(stats_of(&build().units), expected);
+            let mut again = build();
+            again.append_unit(9, &units[2]);
+            assert_eq!(stats_of(&again.units), expected_appended);
+        }
     }
 
     #[test]
